@@ -1,14 +1,23 @@
-// Single-signature vs batch Ed25519 verification throughput at batch sizes
-// {1, 8, 64, 512}. Prints a human-readable table plus one machine-readable
-// line prefixed with "BENCH " carrying the results as JSON.
+// Ed25519 signing, scalar verification and batch verification at batch
+// sizes {1, 8, 64, 512}, each batch size in two signer shapes: 16 signers
+// (a Setchain block: servers and a recurring client population, so the
+// batch merges same-key terms) and one signer per signature (no sharing,
+// the worst case for merging). Batches carry prepared keys, as Pki passes
+// them. Every figure is the minimum over 5 repetitions (the host may be
+// shared, and the minimum is the least disturbed estimate). Prints a
+// human-readable table plus one machine-readable line prefixed with
+// "BENCH " carrying the results as JSON.
 //
-//   --smoke   reduced workload + correctness self-checks (all-valid batch
-//             accepted, forged culprit identified, agreement with scalar
-//             verify); exit code 0 only if the checks pass. Registered as a
-//             CTest smoke target so the batch path runs on every push.
+//   --smoke   reduced workload + correctness self-checks in both signer
+//             shapes (all-valid batch accepted, forged culprit identified,
+//             agreement with scalar verify); exit code 0 only if the checks
+//             pass, one repetition. Registered as a CTest smoke target so
+//             the batch path runs on every push.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -20,61 +29,84 @@ namespace {
 using setchain::crypto::Ed25519;
 
 struct Signed {
+  Ed25519::Seed seed;
   Ed25519::PublicKey pub;
+  const Ed25519::VerifyKey* key = nullptr;
   setchain::codec::Bytes msg;
   Ed25519::Signature sig;
 };
 
-/// `n` signed messages from a pool of `n_signers` keypairs — the shape of a
-/// Setchain block, whose signatures come from a bounded signer set (servers
-/// for proofs/hash-batches, a recurring client population for elements).
-std::vector<Signed> make_signed(std::size_t n, std::size_t n_signers,
-                                std::uint64_t seed_tag) {
+struct Pool {
+  std::vector<Ed25519::VerifyKey> keys;  ///< one per signer
+  std::vector<Signed> signed_msgs;
+};
+
+/// `n` signed 64-byte messages from `n_signers` keypairs, round robin.
+Pool make_pool(std::size_t n, std::size_t n_signers, std::uint64_t seed_tag) {
   setchain::sim::Rng rng(seed_tag);
-  std::vector<std::pair<Ed25519::Seed, Ed25519::PublicKey>> signers(n_signers);
-  for (auto& [seed, pub] : signers) {
+  Pool pool;
+  std::vector<Ed25519::Seed> seeds(n_signers);
+  pool.keys.reserve(n_signers);
+  for (auto& seed : seeds) {
     for (auto& b : seed) b = static_cast<std::uint8_t>(rng.next_u64());
-    pub = Ed25519::public_key(seed);
+    pool.keys.push_back(Ed25519::keypair(seed).second);
   }
-  std::vector<Signed> out(n);
+  pool.signed_msgs.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const auto& [seed, pub] = signers[i % n_signers];
-    out[i].pub = pub;
-    out[i].msg.resize(64);
-    for (auto& b : out[i].msg) b = static_cast<std::uint8_t>(rng.next_u64());
-    out[i].sig = Ed25519::sign(seed, out[i].pub, out[i].msg);
+    Signed& s = pool.signed_msgs[i];
+    s.seed = seeds[i % n_signers];
+    s.key = &pool.keys[i % n_signers];
+    s.pub = s.key->bytes;
+    s.msg.resize(64);
+    for (auto& b : s.msg) b = static_cast<std::uint8_t>(rng.next_u64());
+    s.sig = Ed25519::sign(s.seed, s.pub, s.msg);
+  }
+  return pool;
+}
+
+/// Batch entries; `prepared` selects whether they carry the VerifyKey.
+std::vector<Ed25519::BatchEntry> entries_of(const Pool& pool, bool prepared) {
+  std::vector<Ed25519::BatchEntry> out;
+  out.reserve(pool.signed_msgs.size());
+  for (const auto& s : pool.signed_msgs) {
+    out.push_back(Ed25519::BatchEntry{&s.pub, s.msg, &s.sig, prepared ? s.key : nullptr});
   }
   return out;
 }
 
-std::vector<Ed25519::BatchEntry> entries_of(const std::vector<Signed>& s) {
-  std::vector<Ed25519::BatchEntry> out;
-  out.reserve(s.size());
-  for (const auto& x : s) out.push_back(Ed25519::BatchEntry{&x.pub, x.msg, &x.sig});
-  return out;
+/// Minimum over `reps` runs of `fn`, in seconds.
+double min_seconds(int reps, const std::function<void()>& fn) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    best = std::min(
+        best, std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count());
+  }
+  return best;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-bool self_check() {
+bool self_check(std::size_t n_signers) {
   bool ok = true;
   // All-valid batch accepted with every verdict true.
-  auto good = make_signed(16, 16, 7);
-  const auto r1 = Ed25519::verify_batch(entries_of(good));
-  ok = ok && r1.all_valid;
-  // Exactly one forged entry: the bisection must name it.
-  auto forged = make_signed(16, 4, 8);
-  forged[9].sig[3] ^= 0x40;
-  const auto r2 = Ed25519::verify_batch(entries_of(forged));
-  ok = ok && !r2.all_valid;
-  for (std::size_t i = 0; i < forged.size(); ++i) ok = ok && r2.valid[i] == (i != 9);
-  // Verdicts agree with scalar verify.
-  for (std::size_t i = 0; i < forged.size(); ++i) {
-    ok = ok && r2.valid[i] == Ed25519::verify(forged[i].pub, forged[i].msg, forged[i].sig);
+  const auto good = make_pool(16, n_signers, 7);
+  ok = ok && Ed25519::verify_batch(entries_of(good, true)).all_valid;
+  // Exactly one forged entry: the bisection must name it, and the verdicts
+  // must agree with scalar verify, with prepared and with raw keys.
+  auto forged = make_pool(16, n_signers, 8);
+  forged.signed_msgs[9].sig[3] ^= 0x40;
+  for (const bool prepared : {true, false}) {
+    const auto r = Ed25519::verify_batch(entries_of(forged, prepared));
+    ok = ok && !r.all_valid;
+    for (std::size_t i = 0; i < forged.signed_msgs.size(); ++i) {
+      const Signed& s = forged.signed_msgs[i];
+      ok = ok && r.valid[i] == (i != 9);
+      ok = ok && r.valid[i] == Ed25519::verify(s.pub, s.msg, s.sig);
+    }
   }
-  if (!ok) std::fprintf(stderr, "ed25519_batch_bench: self-check FAILED\n");
+  if (!ok) {
+    std::fprintf(stderr, "ed25519_batch_bench: self-check FAILED (%zu signers)\n", n_signers);
+  }
   return ok;
 }
 
@@ -82,65 +114,92 @@ bool self_check() {
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  if (!self_check()) return 1;
+  const int reps = smoke ? 1 : 5;
+  if (!self_check(4) || !self_check(16)) return 1;
 
-  // Total signatures verified per mode; smoke keeps CI cheap while still
-  // driving every batch size through the real code path.
+  // Signatures per repetition of each measurement; smoke keeps CI cheap
+  // while still driving every batch size through the real code path.
   const std::size_t total = smoke ? 512 : 4096;
   const std::vector<std::size_t> sizes = {1, 8, 64, 512};
-  // Signer-pool size: a Setchain deployment's signature traffic comes from
-  // a bounded set of servers and recurring clients.
-  const std::size_t n_signers = 16;
+  const std::size_t kSharedSigners = 16;
 
-  std::printf("ed25519 batch verification bench (%zu signatures per mode, %zu signers%s)\n",
-              total, n_signers, smoke ? ", smoke" : "");
+  std::printf("ed25519 bench (%zu signatures per measurement, min of %d reps%s)\n", total,
+              reps, smoke ? ", smoke" : "");
 
-  // Baseline: scalar verify, one signature at a time.
-  const auto pool = make_signed(std::min<std::size_t>(total, 512), n_signers, 42);
-  const auto t0 = std::chrono::steady_clock::now();
-  std::size_t valid = 0;
-  for (std::size_t i = 0; i < total; ++i) {
-    const auto& s = pool[i % pool.size()];
-    valid += Ed25519::verify(s.pub, s.msg, s.sig) ? 1 : 0;
-  }
-  const double single_s = seconds_since(t0);
-  if (valid != total) {
-    std::fprintf(stderr, "ed25519_batch_bench: scalar baseline rejected a valid sig\n");
+  const auto base = make_pool(512, kSharedSigners, 42);
+  const auto& msgs = base.signed_msgs;
+  const auto per_sig_us = [&](double s) { return 1e6 * s / static_cast<double>(total); };
+
+  const double sign_s = min_seconds(reps, [&] {
+    for (std::size_t i = 0; i < total; ++i) {
+      const auto& s = msgs[i % msgs.size()];
+      (void)Ed25519::sign(s.seed, s.pub, s.msg);
+    }
+  });
+
+  bool scalar_ok = true;
+  const double raw_s = min_seconds(reps, [&] {
+    for (std::size_t i = 0; i < total; ++i) {
+      const auto& s = msgs[i % msgs.size()];
+      scalar_ok = Ed25519::verify(s.pub, s.msg, s.sig) && scalar_ok;
+    }
+  });
+  const double prepared_s = min_seconds(reps, [&] {
+    for (std::size_t i = 0; i < total; ++i) {
+      const auto& s = msgs[i % msgs.size()];
+      scalar_ok = Ed25519::verify(*s.key, s.msg, s.sig) && scalar_ok;
+    }
+  });
+  if (!scalar_ok) {
+    std::fprintf(stderr, "ed25519_batch_bench: scalar verify rejected a valid sig\n");
     return 1;
   }
-  const double single_rate = static_cast<double>(total) / single_s;
-  std::printf("  %-12s %10.0f verifies/s  (%.1f us/sig)\n", "single", single_rate,
-              1e6 * single_s / static_cast<double>(total));
+  const double single_rate = static_cast<double>(total) / prepared_s;
+  std::printf("  %-22s %8.1f us/sig\n", "sign", per_sig_us(sign_s));
+  std::printf("  %-22s %8.1f us/sig\n", "verify (raw key)", per_sig_us(raw_s));
+  std::printf("  %-22s %8.1f us/sig  (%.0f verifies/s)\n", "verify (prepared key)",
+              per_sig_us(prepared_s), single_rate);
 
   std::string json = "{\"name\":\"ed25519_batch\",\"total_sigs\":" + std::to_string(total) +
+                     ",\"reps\":" + std::to_string(reps) +
                      ",\"smoke\":" + (smoke ? std::string("true") : std::string("false")) +
+                     ",\"sign_us\":" + std::to_string(per_sig_us(sign_s)) +
+                     ",\"verify_raw_us\":" + std::to_string(per_sig_us(raw_s)) +
+                     ",\"verify_prepared_us\":" + std::to_string(per_sig_us(prepared_s)) +
                      ",\"single_verifies_per_s\":" + std::to_string(single_rate) +
                      ",\"batch\":[";
 
   bool batch64_ok = false;
-  for (std::size_t bi = 0; bi < sizes.size(); ++bi) {
-    const std::size_t bsz = sizes[bi];
-    const auto batch_pool = make_signed(bsz, n_signers, 1000 + bsz);
-    const auto batch_entries = entries_of(batch_pool);
-    const std::size_t rounds = (total + bsz - 1) / bsz;
-    const auto t1 = std::chrono::steady_clock::now();
-    bool all = true;
-    for (std::size_t r = 0; r < rounds; ++r) {
-      all = all && Ed25519::verify_batch(batch_entries).all_valid;
+  bool first = true;
+  for (const bool distinct : {false, true}) {
+    for (const std::size_t bsz : sizes) {
+      const std::size_t n_signers = distinct ? bsz : std::min(bsz, kSharedSigners);
+      const auto pool = make_pool(bsz, n_signers, 1000 + bsz + (distinct ? 1 : 0));
+      const auto entries = entries_of(pool, true);
+      const std::size_t rounds = (total + bsz - 1) / bsz;
+      bool all = true;
+      const double batch_s = min_seconds(reps, [&] {
+        for (std::size_t r = 0; r < rounds; ++r) {
+          all = Ed25519::verify_batch(entries).all_valid && all;
+        }
+      });
+      if (!all) {
+        std::fprintf(stderr, "ed25519_batch_bench: batch-%zu rejected valid sigs\n", bsz);
+        return 1;
+      }
+      const double sigs = static_cast<double>(rounds * bsz);
+      const double rate = sigs / batch_s;
+      const double speedup = rate / single_rate;
+      if (bsz == 64 && !distinct) batch64_ok = speedup >= 2.0;
+      std::printf("  batch-%-4zu %3zu signers %8.1f us/sig  (%.0f verifies/s, %.2fx single)\n",
+                  bsz, n_signers, 1e6 * batch_s / sigs, rate, speedup);
+      json += std::string(first ? "" : ",") + "{\"size\":" + std::to_string(bsz) +
+              ",\"signers\":" + std::to_string(n_signers) +
+              ",\"us_per_sig\":" + std::to_string(1e6 * batch_s / sigs) +
+              ",\"verifies_per_s\":" + std::to_string(rate) +
+              ",\"speedup\":" + std::to_string(speedup) + "}";
+      first = false;
     }
-    const double batch_s = seconds_since(t1);
-    if (!all) {
-      std::fprintf(stderr, "ed25519_batch_bench: batch-%zu rejected valid sigs\n", bsz);
-      return 1;
-    }
-    const double rate = static_cast<double>(rounds * bsz) / batch_s;
-    const double speedup = rate / single_rate;
-    if (bsz == 64) batch64_ok = speedup >= 2.0;
-    std::printf("  batch-%-6zu %10.0f verifies/s  (%.1f us/sig, %.2fx single)\n", bsz,
-                rate, 1e6 * batch_s / static_cast<double>(rounds * bsz), speedup);
-    json += std::string(bi ? "," : "") + "{\"size\":" + std::to_string(bsz) +
-            ",\"verifies_per_s\":" + std::to_string(rate) +
-            ",\"speedup\":" + std::to_string(speedup) + "}";
   }
   json += "]}";
   std::printf("BENCH %s\n", json.c_str());
@@ -148,7 +207,8 @@ int main(int argc, char** argv) {
   if (!batch64_ok) {
     // Advisory in smoke mode (shared CI runners have noisy clocks); a hard
     // failure locally where the measurement is meaningful.
-    std::fprintf(stderr, "ed25519_batch_bench: batch-64 speedup below 2x single\n");
+    std::fprintf(stderr,
+                 "ed25519_batch_bench: batch-64 (16 signers) speedup below 2x single\n");
     if (!smoke) return 1;
   }
   return 0;

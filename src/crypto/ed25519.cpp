@@ -1,6 +1,7 @@
 #include "crypto/ed25519.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <map>
 
 #include "crypto/bigint.hpp"
@@ -11,19 +12,6 @@
 namespace setchain::crypto {
 
 namespace {
-
-/// Group order L = 2^252 + 27742317777372353535851937790883648493.
-const U256& order_l() {
-  static const U256 kL = [] {
-    U256 l;
-    l.w[0] = 0x5812631A5CF5D3EDULL;
-    l.w[1] = 0x14DEF9DEA2F79CD6ULL;
-    l.w[2] = 0;
-    l.w[3] = 0x1000000000000000ULL;
-    return l;
-  }();
-  return kL;
-}
 
 /// Reduction mod L specialized to its sparse shape: L = 2^252 + c with the
 /// 125-bit constant c, so 2^252 == -c (mod L) and x = hi*2^252 + lo == lo -
@@ -75,7 +63,7 @@ U256 reduce_mod_l(U512 x) {
   U256 r;
   for (std::size_t i = 0; i < 4; ++i) r.w[i] = x.w[i];  // x < 2^252 < L
   if (neg && !r.is_zero()) {
-    U256 l = order_l();
+    U256 l = kOrderL;
     l.sub_in_place(r);
     r = l;
   }
@@ -98,35 +86,68 @@ U256 scalar_from_hash512(const Sha512::Digest& h) {
   return reduce_mod_l(U512::from_bytes_le(codec::ByteView(h.data(), h.size())));
 }
 
-struct ExpandedSecret {
-  U256 a;  ///< clamped scalar
-  std::array<std::uint8_t, 32> prefix;
-};
-
-ExpandedSecret expand(const Ed25519::Seed& seed) {
+Ed25519::SigningKey expand(const Ed25519::Seed& seed, const Ed25519::PublicKey& pub) {
   auto h = Sha512::hash(codec::ByteView(seed.data(), seed.size()));
   h[0] &= 248;
   h[31] &= 127;
   h[31] |= 64;
-  ExpandedSecret out;
+  Ed25519::SigningKey out;
   out.a = U256::from_bytes_le(codec::ByteView(h.data(), 32));
   std::copy(h.begin() + 32, h.end(), out.prefix.begin());
+  out.pub = pub;
   return out;
+}
+
+/// The one verification equation, against a decoded key: with
+/// k = H(R || A || M), accept iff encode(S*B + k*(-A)) == R bytes. The
+/// compare needs no decoding of R: compress() only emits canonical
+/// encodings of curve points, so a non-canonical or off-curve R can never
+/// match.
+bool verify_with(const Ed25519::PublicKey& pub, const GeOddMultiples& neg_a,
+                 codec::ByteView message, const Ed25519::Signature& sig) {
+  const codec::ByteView r_bytes(sig.data(), 32);
+  const U256 s = U256::from_bytes_le(codec::ByteView(sig.data() + 32, 32));
+  if (!(s < kOrderL)) return false;  // non-canonical S (malleability guard)
+
+  Sha512 k_hash;
+  k_hash.update(r_bytes);
+  k_hash.update(codec::ByteView(pub.data(), pub.size()));
+  k_hash.update(message);
+  const U256 k = scalar_from_hash512(k_hash.finalize());
+
+  // S*B + k*(-A) as one interleaved double-scalar multiplication.
+  const Ge::Term term{k, &neg_a};
+  const auto lhs = Ge::multi_scalar_mul(s, std::span(&term, 1)).compress();
+  for (std::size_t i = 0; i < 32; ++i) {
+    if (lhs[i] != r_bytes[i]) return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 Ed25519::PublicKey Ed25519::public_key(const Seed& seed) {
-  const auto secret = expand(seed);
-  return Ge::base_scalar_mul(secret.a).compress();
+  return Ge::base_scalar_mul(expand(seed, {}).a).compress();
 }
 
-Ed25519::Signature Ed25519::sign(const Seed& seed, const PublicKey& pub,
-                                 codec::ByteView message) {
-  const auto secret = expand(seed);
+std::optional<Ed25519::VerifyKey> Ed25519::prepare(const PublicKey& pub) {
+  const auto a_pt = Ge::decompress(codec::ByteView(pub.data(), pub.size()));
+  if (!a_pt) return std::nullopt;
+  return VerifyKey{pub, GeOddMultiples::of(a_pt->negate()), a_pt->is_torsion_free()};
+}
 
+std::pair<Ed25519::SigningKey, Ed25519::VerifyKey> Ed25519::keypair(const Seed& seed) {
+  SigningKey sk = expand(seed, {});
+  const Ge a_pt = Ge::base_scalar_mul(sk.a);
+  sk.pub = a_pt.compress();
+  // A = a*B lies in B's prime-order subgroup by construction.
+  VerifyKey vk{sk.pub, GeOddMultiples::of(a_pt.negate()), true};
+  return {sk, vk};
+}
+
+Ed25519::Signature Ed25519::sign(const SigningKey& key, codec::ByteView message) {
   Sha512 r_hash;
-  r_hash.update(codec::ByteView(secret.prefix.data(), secret.prefix.size()));
+  r_hash.update(codec::ByteView(key.prefix.data(), key.prefix.size()));
   r_hash.update(message);
   const U256 r = scalar_from_hash512(r_hash.finalize());
 
@@ -134,12 +155,12 @@ Ed25519::Signature Ed25519::sign(const Seed& seed, const PublicKey& pub,
 
   Sha512 k_hash;
   k_hash.update(codec::ByteView(r_enc.data(), r_enc.size()));
-  k_hash.update(codec::ByteView(pub.data(), pub.size()));
+  k_hash.update(codec::ByteView(key.pub.data(), key.pub.size()));
   k_hash.update(message);
   const U256 k = scalar_from_hash512(k_hash.finalize());
 
   // S = (r + k*a) mod L
-  const U256 s = mul_add_mod_l(k, secret.a, r);
+  const U256 s = mul_add_mod_l(k, key.a, r);
   const auto s_enc = s.to_bytes_le<32>();
 
   Signature sig;
@@ -148,65 +169,72 @@ Ed25519::Signature Ed25519::sign(const Seed& seed, const PublicKey& pub,
   return sig;
 }
 
-bool Ed25519::verify(const PublicKey& pub, codec::ByteView message, const Signature& sig) {
-  const codec::ByteView r_bytes(sig.data(), 32);
-  const U256 s = U256::from_bytes_le(codec::ByteView(sig.data() + 32, 32));
-  if (!(s < order_l())) return false;  // non-canonical S (malleability guard)
+Ed25519::Signature Ed25519::sign(const Seed& seed, const PublicKey& pub,
+                                 codec::ByteView message) {
+  return sign(expand(seed, pub), message);
+}
 
+bool Ed25519::verify(const VerifyKey& key, codec::ByteView message, const Signature& sig) {
+  return verify_with(key.bytes, key.neg_a, message, sig);
+}
+
+bool Ed25519::verify(const PublicKey& pub, codec::ByteView message, const Signature& sig) {
   const auto a_pt = Ge::decompress(codec::ByteView(pub.data(), pub.size()));
   if (!a_pt) return false;
-  const auto r_pt = Ge::decompress(r_bytes);
-  if (!r_pt) return false;
-
-  Sha512 k_hash;
-  k_hash.update(r_bytes);
-  k_hash.update(codec::ByteView(pub.data(), pub.size()));
-  k_hash.update(message);
-  const U256 k = scalar_from_hash512(k_hash.finalize());
-
-  // Check S*B == R + k*A  <=>  S*B + k*(-A) == R, as one interleaved
-  // double-scalar multiplication.
-  const Ge::ScalarPoint term{k, a_pt->negate()};
-  const auto lhs = Ge::multi_scalar_mul(s, std::span(&term, 1)).compress();
-  for (std::size_t i = 0; i < 32; ++i) {
-    if (lhs[i] != r_bytes[i]) return false;
-  }
-  return true;
+  return verify_with(pub, GeOddMultiples::of(a_pt->negate()), message, sig);
 }
 
 namespace {
 
-/// Per-entry state shared by the combined check and its bisection: points
-/// decompressed and scalars derived once per batch, reused by every
-/// sub-check.
-struct PreparedEntry {
-  Ge neg_a;   ///< -A
-  Ge neg_r;   ///< -R
-  U256 s;     ///< signature scalar
-  U256 k;     ///< H(R || A || M) mod L
-  bool pre_ok = false;
+/// The distinct public keys of one shard, each prepared once: the caller's
+/// VerifyKey when the entry carries one, otherwise decoded here. Entries
+/// signed by the same key share one slot, which is what lets the combined
+/// check merge their A terms.
+class ShardKeys {
+ public:
+  /// Slot of the entry's key (added on first sight).
+  std::size_t slot_of(const Ed25519::BatchEntry& e) {
+    const auto [it, inserted] = index_.try_emplace(*e.pub, keys_.size());
+    if (inserted) {
+      if (e.key != nullptr) {
+        keys_.push_back(e.key);
+      } else {
+        owned_.push_back(Ed25519::prepare(*e.pub));
+        keys_.push_back(owned_.back() ? &*owned_.back() : nullptr);
+      }
+    }
+    return it->second;
+  }
+
+  /// Null when the key is not a curve point.
+  const Ed25519::VerifyKey* operator[](std::size_t slot) const { return keys_[slot]; }
+  std::size_t size() const { return keys_.size(); }
+
+ private:
+  std::map<Ed25519::PublicKey, std::size_t> index_;
+  std::vector<const Ed25519::VerifyKey*> keys_;
+  std::deque<std::optional<Ed25519::VerifyKey>> owned_;  ///< push_back keeps addresses
 };
 
-/// Decompressed (and negated) public keys, shared across the batch: Setchain
-/// blocks carry many signatures from a bounded signer set (n servers, a
-/// recurring client population), so each distinct key pays its two field
-/// exponentiations once per batch instead of once per signature.
-using PubCache = std::map<Ed25519::PublicKey, std::optional<Ge>>;
+/// Per-entry state shared by the combined check and its bisection:
+/// R decoded and scalars derived once per batch, reused by every
+/// sub-check.
+struct PreparedEntry {
+  GeOddMultiples neg_r;  ///< odd multiples of -R
+  U256 s;                ///< signature scalar
+  U256 k;                ///< H(R || A || M) mod L
+  std::size_t key = 0;   ///< ShardKeys slot of A
+};
 
-PreparedEntry prepare_entry(const Ed25519::BatchEntry& e, PubCache& pub_cache) {
-  PreparedEntry out;
+/// Decode R and derive the scalars; false when the entry cannot pass
+/// scalar `verify` (S >= L, R not a canonical curve-point encoding).
+bool prepare_entry(const Ed25519::BatchEntry& e, PreparedEntry& out) {
   const codec::ByteView r_bytes(e.sig->data(), 32);
   out.s = U256::from_bytes_le(codec::ByteView(e.sig->data() + 32, 32));
-  if (!(out.s < order_l())) return out;  // non-canonical S
+  if (!(out.s < kOrderL)) return false;  // non-canonical S
 
-  auto [cached, inserted] = pub_cache.try_emplace(*e.pub);
-  if (inserted) {
-    const auto a_pt = Ge::decompress(codec::ByteView(e.pub->data(), e.pub->size()));
-    if (a_pt) cached->second = a_pt->negate();
-  }
-  if (!cached->second) return out;  // key not a curve point
   const auto r_pt = Ge::decompress(r_bytes);
-  if (!r_pt) return out;
+  if (!r_pt) return false;
   // Scalar `verify` compares the recomputed point against the R *bytes*, so
   // a non-canonically encoded R (y >= p) always fails there; reject it here
   // too, otherwise the batch path (which works on the decompressed point)
@@ -214,7 +242,7 @@ PreparedEntry prepare_entry(const Ed25519::BatchEntry& e, PubCache& pub_cache) {
   const auto canonical_y = Fe::from_bytes(r_bytes).to_bytes();
   for (std::size_t i = 0; i < 32; ++i) {
     const std::uint8_t want = i == 31 ? (canonical_y[i] | (r_bytes[i] & 0x80)) : canonical_y[i];
-    if (r_bytes[i] != want) return out;
+    if (r_bytes[i] != want) return false;
   }
 
   Sha512 k_hash;
@@ -222,14 +250,15 @@ PreparedEntry prepare_entry(const Ed25519::BatchEntry& e, PubCache& pub_cache) {
   k_hash.update(codec::ByteView(e.pub->data(), e.pub->size()));
   k_hash.update(e.message);
   out.k = scalar_from_hash512(k_hash.finalize());
-  out.neg_a = *cached->second;
-  out.neg_r = r_pt->negate();
-  out.pre_ok = true;
-  return out;
+  out.neg_r = GeOddMultiples::of(r_pt->negate());
+  return true;
 }
 
 /// Combined random-linear-combination check over a subset of the batch:
-///   (sum z_i*S_i)*B + sum z_i*(-R_i) + sum (z_i*k_i)*(-A_i) == identity.
+///   (sum z_i*S_i)*B + sum z_i*(-R_i) + sum_A (sum_{i: A_i = A} z_i*k_i)*(-A)
+///     == identity.
+/// Grouping the A terms by key is the same sum, regrouped: a batch of 60
+/// signatures from 4 signers multiplies 4 full-width A terms instead of 60.
 /// The z_i are 128-bit scalars derived from a SHA-512 transcript of the
 /// subset's full (R, S, A, message) tuples, keyed per entry by its index
 /// within the subset — deterministic, so the same batch always produces the
@@ -238,7 +267,7 @@ PreparedEntry prepare_entry(const Ed25519::BatchEntry& e, PubCache& pub_cache) {
 /// doctor two valid signatures as S1+z2 / S2-z1, preserving sum z_i*S_i
 /// while making both individually invalid.
 bool combined_check(std::span<const Ed25519::BatchEntry> entries,
-                    const std::vector<PreparedEntry>& prepared,
+                    const std::vector<PreparedEntry>& prepared, const ShardKeys& keys,
                     const std::vector<std::size_t>& subset) {
   Sha512 transcript;
   transcript.update(codec::to_bytes("setchain.ed25519.batch.v1"));
@@ -257,8 +286,10 @@ bool combined_check(std::span<const Ed25519::BatchEntry> entries,
   const auto seed = transcript.finalize();
 
   U256 base_scalar = U256::zero();
-  std::vector<Ge::ScalarPoint> terms;
-  terms.reserve(2 * subset.size());
+  std::vector<U256> key_scalar(keys.size(), U256::zero());
+  std::vector<bool> key_used(keys.size(), false);
+  std::vector<Ge::Term> terms;
+  terms.reserve(subset.size() + keys.size());
   for (std::size_t j = 0; j < subset.size(); ++j) {
     const PreparedEntry& p = prepared[subset[j]];
     Sha512 zh;
@@ -273,10 +304,19 @@ bool combined_check(std::span<const Ed25519::BatchEntry> entries,
     if (z.is_zero()) z = U256::from_u64(1);
 
     base_scalar = mul_add_mod_l(z, p.s, base_scalar);
-    terms.push_back(Ge::ScalarPoint{z, p.neg_r});
-    terms.push_back(Ge::ScalarPoint{mul_add_mod_l(z, p.k, U256::zero()), p.neg_a});
+    terms.push_back(Ge::Term{z, &p.neg_r});
+    key_scalar[p.key] = mul_add_mod_l(z, p.k, key_scalar[p.key]);
+    key_used[p.key] = true;
+  }
+  for (std::size_t g = 0; g < keys.size(); ++g) {
+    if (key_used[g]) terms.push_back(Ge::Term{key_scalar[g], &keys[g]->neg_a});
   }
   return Ge::multi_scalar_mul(base_scalar, terms).is_identity();
+}
+
+/// Scalar verification of one entry against its shard-prepared key.
+bool verify_entry(const Ed25519::BatchEntry& e, const Ed25519::VerifyKey& key) {
+  return verify_with(*e.pub, key.neg_a, e.message, *e.sig);
 }
 
 /// Bisection fallback: a failing subset is split until the culprits are
@@ -284,23 +324,23 @@ bool combined_check(std::span<const Ed25519::BatchEntry> entries,
 /// to per-signature `verify` even in the (negligible-probability) corner
 /// cases a random combination could mask.
 void bisect(std::span<const Ed25519::BatchEntry> entries,
-            const std::vector<PreparedEntry>& prepared, std::vector<std::size_t> subset,
-            std::vector<bool>& valid) {
+            const std::vector<PreparedEntry>& prepared, const ShardKeys& keys,
+            std::vector<std::size_t> subset, std::vector<bool>& valid) {
   if (subset.empty()) return;
   if (subset.size() == 1) {
-    const auto& e = entries[subset[0]];
-    valid[subset[0]] = Ed25519::verify(*e.pub, e.message, *e.sig);
+    const std::size_t i = subset[0];
+    valid[i] = verify_entry(entries[i], *keys[prepared[i].key]);
     return;
   }
-  if (combined_check(entries, prepared, subset)) {
+  if (combined_check(entries, prepared, keys, subset)) {
     for (const std::size_t i : subset) valid[i] = true;
     return;
   }
   const std::size_t mid = subset.size() / 2;
-  bisect(entries, prepared,
+  bisect(entries, prepared, keys,
          std::vector<std::size_t>(subset.begin(), subset.begin() + static_cast<std::ptrdiff_t>(mid)),
          valid);
-  bisect(entries, prepared,
+  bisect(entries, prepared, keys,
          std::vector<std::size_t>(subset.begin() + static_cast<std::ptrdiff_t>(mid), subset.end()),
          valid);
 }
@@ -310,26 +350,36 @@ void bisect(std::span<const Ed25519::BatchEntry> entries,
 void verify_shard(std::span<const Ed25519::BatchEntry> entries,
                   std::vector<bool>& valid, bool& all_valid) {
   if (entries.size() == 1) {
-    valid[0] = Ed25519::verify(*entries[0].pub, entries[0].message, *entries[0].sig);
+    const auto& e = entries[0];
+    valid[0] = e.key != nullptr ? Ed25519::verify(*e.key, e.message, *e.sig)
+                                : Ed25519::verify(*e.pub, e.message, *e.sig);
     all_valid = valid[0];
     return;
   }
 
-  std::vector<PreparedEntry> prepared;
-  prepared.reserve(entries.size());
+  ShardKeys keys;
+  std::vector<PreparedEntry> prepared(entries.size());
   std::vector<std::size_t> candidates;
   candidates.reserve(entries.size());
-  PubCache pub_cache;
   for (std::size_t i = 0; i < entries.size(); ++i) {
-    prepared.push_back(prepare_entry(entries[i], pub_cache));
-    if (prepared.back().pre_ok) candidates.push_back(i);
+    const auto& e = entries[i];
+    prepared[i].key = keys.slot_of(e);
+    const Ed25519::VerifyKey* key = keys[prepared[i].key];
+    if (key == nullptr) continue;  // A not a curve point: invalid
+    if (!key->torsion_free) {
+      // A has a small-order component, which the combination would treat
+      // differently from scalar verify: check the entry on its own.
+      valid[i] = verify_entry(e, *key);
+      continue;
+    }
+    if (prepare_entry(e, prepared[i])) candidates.push_back(i);
   }
 
   // One combined check when everything is fine; bisection (inside `bisect`)
   // takes over only on failure.
-  bisect(entries, prepared, candidates, valid);
-  all_valid = candidates.size() == entries.size();
-  for (const std::size_t i : candidates) all_valid = all_valid && valid[i];
+  bisect(entries, prepared, keys, candidates, valid);
+  all_valid = true;
+  for (std::size_t i = 0; i < entries.size(); ++i) all_valid = all_valid && valid[i];
 }
 
 /// Entries below which a shard is not worth a transcript + MSM of its own:

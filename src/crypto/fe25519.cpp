@@ -6,24 +6,13 @@ namespace setchain::crypto {
 
 namespace {
 
-constexpr std::uint64_t kMask = (std::uint64_t{1} << 51) - 1;
+using fe_detail::carry_weak;
+using fe_detail::kMask;
 
 inline std::uint64_t load64(const std::uint8_t* p) {
   std::uint64_t v;
   std::memcpy(&v, p, 8);
   return v;  // little-endian host assumed (x86/ARM); asserted in tests
-}
-
-/// Weak carry propagation: brings limbs below 2^52 (enough headroom for the
-/// next multiplication).
-inline void carry_weak(std::array<std::uint64_t, 5>& v) {
-  std::uint64_t c;
-  c = v[0] >> 51; v[0] &= kMask; v[1] += c;
-  c = v[1] >> 51; v[1] &= kMask; v[2] += c;
-  c = v[2] >> 51; v[2] &= kMask; v[3] += c;
-  c = v[3] >> 51; v[3] &= kMask; v[4] += c;
-  c = v[4] >> 51; v[4] &= kMask; v[0] += c * 19;
-  c = v[0] >> 51; v[0] &= kMask; v[1] += c;
 }
 
 }  // namespace
@@ -87,132 +76,53 @@ bool Fe::is_zero() const {
 
 bool Fe::is_negative() const { return to_bytes()[0] & 1; }
 
-Fe operator+(const Fe& a, const Fe& b) {
-  Fe r;
-  for (int i = 0; i < 5; ++i) r.v[i] = a.v[i] + b.v[i];
-  carry_weak(r.v);
+Fe Fe::square_times(int n) const {
+  Fe r = *this;
+  for (int i = 0; i < n; ++i) r = r.square();
   return r;
 }
-
-Fe operator-(const Fe& a, const Fe& b) {
-  // a + 2p - b, limbwise, keeps everything nonnegative.
-  Fe r;
-  r.v[0] = a.v[0] + 0xFFFFFFFFFFFDAULL - b.v[0];
-  r.v[1] = a.v[1] + 0xFFFFFFFFFFFFEULL - b.v[1];
-  r.v[2] = a.v[2] + 0xFFFFFFFFFFFFEULL - b.v[2];
-  r.v[3] = a.v[3] + 0xFFFFFFFFFFFFEULL - b.v[3];
-  r.v[4] = a.v[4] + 0xFFFFFFFFFFFFEULL - b.v[4];
-  carry_weak(r.v);
-  return r;
-}
-
-Fe operator*(const Fe& a, const Fe& b) {
-  using u128 = unsigned __int128;
-  const std::uint64_t f0 = a.v[0], f1 = a.v[1], f2 = a.v[2], f3 = a.v[3], f4 = a.v[4];
-  const std::uint64_t g0 = b.v[0], g1 = b.v[1], g2 = b.v[2], g3 = b.v[3], g4 = b.v[4];
-
-  const u128 r0 = (u128)f0 * g0 +
-                  (u128)19 * ((u128)f1 * g4 + (u128)f2 * g3 + (u128)f3 * g2 + (u128)f4 * g1);
-  const u128 r1 = (u128)f0 * g1 + (u128)f1 * g0 +
-                  (u128)19 * ((u128)f2 * g4 + (u128)f3 * g3 + (u128)f4 * g2);
-  const u128 r2 = (u128)f0 * g2 + (u128)f1 * g1 + (u128)f2 * g0 +
-                  (u128)19 * ((u128)f3 * g4 + (u128)f4 * g3);
-  const u128 r3 = (u128)f0 * g3 + (u128)f1 * g2 + (u128)f2 * g1 + (u128)f3 * g0 +
-                  (u128)19 * ((u128)f4 * g4);
-  const u128 r4 = (u128)f0 * g4 + (u128)f1 * g3 + (u128)f2 * g2 + (u128)f3 * g1 +
-                  (u128)f4 * g0;
-
-  Fe out;
-  u128 c;
-  u128 t0 = r0, t1 = r1, t2 = r2, t3 = r3, t4 = r4;
-  c = t0 >> 51; t0 &= kMask; t1 += c;
-  c = t1 >> 51; t1 &= kMask; t2 += c;
-  c = t2 >> 51; t2 &= kMask; t3 += c;
-  c = t3 >> 51; t3 &= kMask; t4 += c;
-  c = t4 >> 51; t4 &= kMask; t0 += c * 19;
-  c = t0 >> 51; t0 &= kMask; t1 += c;
-
-  out.v[0] = static_cast<std::uint64_t>(t0);
-  out.v[1] = static_cast<std::uint64_t>(t1);
-  out.v[2] = static_cast<std::uint64_t>(t2);
-  out.v[3] = static_cast<std::uint64_t>(t3);
-  out.v[4] = static_cast<std::uint64_t>(t4);
-  return out;
-}
-
-Fe Fe::square() const { return *this * *this; }
 
 Fe Fe::negate() const { return Fe::zero() - *this; }
 
-Fe Fe::pow(const std::array<std::uint8_t, 32>& exp_le) const {
-  Fe result = Fe::one();
-  bool started = false;
-  for (int bit = 255; bit >= 0; --bit) {
-    if (started) result = result.square();
-    const bool set = (exp_le[static_cast<std::size_t>(bit / 8)] >> (bit % 8)) & 1;
-    if (set) {
-      if (started) {
-        result = result * *this;
-      } else {
-        result = *this;
-        started = true;
-      }
-    }
-  }
-  return started ? result : Fe::one();
+namespace {
+
+/// The shared prefix of the ref10 chains for p-2 and (p-5)/8: returns
+/// z^(2^250-1) and sets z11 = z^11.
+Fe pow2_250_1(const Fe& z, Fe& z11) {
+  const Fe z2 = z.square();                           // 2
+  const Fe z9 = z2.square_times(2) * z;               // 9
+  z11 = z9 * z2;                                      // 11
+  const Fe z5_0 = z11.square() * z9;                  // 2^5 - 1
+  const Fe z10_0 = z5_0.square_times(5) * z5_0;       // 2^10 - 1
+  const Fe z20_0 = z10_0.square_times(10) * z10_0;    // 2^20 - 1
+  const Fe z40_0 = z20_0.square_times(20) * z20_0;    // 2^40 - 1
+  const Fe z50_0 = z40_0.square_times(10) * z10_0;    // 2^50 - 1
+  const Fe z100_0 = z50_0.square_times(50) * z50_0;   // 2^100 - 1
+  const Fe z200_0 = z100_0.square_times(100) * z100_0;  // 2^200 - 1
+  return z200_0.square_times(50) * z50_0;             // 2^250 - 1
 }
 
-namespace {
-std::array<std::uint8_t, 32> exp_bytes(std::uint8_t lowest, std::uint8_t highest) {
-  std::array<std::uint8_t, 32> e;
-  e.fill(0xFF);
-  e[0] = lowest;
-  e[31] = highest;
-  return e;
-}
 }  // namespace
 
 Fe Fe::invert() const {
-  // p - 2 = 2^255 - 21
-  return pow(exp_bytes(0xEB, 0x7F));
+  Fe z11;
+  const Fe t = pow2_250_1(*this, z11);
+  return t.square_times(5) * z11;  // 2^255 - 32 + 11 = p - 2
+}
+
+Fe Fe::pow22523() const {
+  Fe z11;
+  const Fe t = pow2_250_1(*this, z11);
+  return t.square_times(2) * *this;  // 2^252 - 4 + 1
 }
 
 bool Fe::equals(const Fe& o) const { return to_bytes() == o.to_bytes(); }
 
-namespace fe_const {
-
-const Fe& d() {
-  static const Fe kD = [] {
-    const Fe num = Fe::from_u64(121665).negate();
-    const Fe den = Fe::from_u64(121666).invert();
-    return num * den;
-  }();
-  return kD;
-}
-
-const Fe& d2() {
-  static const Fe kD2 = d() + d();
-  return kD2;
-}
-
-const Fe& sqrt_m1() {
-  // 2^((p-1)/4), (p-1)/4 = 2^253 - 5
-  static const Fe kSqrtM1 = Fe::from_u64(2).pow(exp_bytes(0xFB, 0x1F));
-  return kSqrtM1;
-}
-
-}  // namespace fe_const
-
 bool fe_sqrt_ratio(const Fe& u, const Fe& v, Fe& x) {
-  // RFC 8032 section 5.1.3: candidate root of u/v.
+  // RFC 8032 section 5.1.3: candidate root of u/v is u*v^3*(u*v^7)^((p-5)/8).
   const Fe v3 = v.square() * v;
   const Fe v7 = v3.square() * v;
-  // (p-5)/8 = 2^252 - 3
-  std::array<std::uint8_t, 32> e;
-  e.fill(0xFF);
-  e[0] = 0xFD;
-  e[31] = 0x0F;
-  Fe cand = u * v3 * (u * v7).pow(e);
+  const Fe cand = u * v3 * (u * v7).pow22523();
 
   const Fe check = v * cand.square();
   if (check.equals(u)) {
@@ -220,7 +130,7 @@ bool fe_sqrt_ratio(const Fe& u, const Fe& v, Fe& x) {
     return true;
   }
   if (check.equals(u.negate())) {
-    x = cand * fe_const::sqrt_m1();
+    x = cand * fe_const::kSqrtM1;
     return true;
   }
   return false;

@@ -16,86 +16,163 @@ struct Naf {
   int len = 0;  ///< highest nonzero index + 1
 };
 
-Naf wnaf(const U256& k, int w) {
-  Naf out;
-  // One spare word: subtracting a negative digit adds up to 2^(w-1).
-  std::array<std::uint64_t, 5> v{};
-  for (int i = 0; i < 4; ++i) v[i] = k.w[i];
-
-  const std::uint64_t mask = (std::uint64_t{1} << w) - 1;
-  const std::int64_t half = std::int64_t{1} << (w - 1);
-  const auto nonzero = [&v] {
-    for (const auto x : v)
-      if (x != 0) return true;
-    return false;
-  };
-
-  int i = 0;
-  while (nonzero()) {
-    if (v[0] & 1) {
-      std::int64_t d = static_cast<std::int64_t>(v[0] & mask);
-      if (d >= half) d -= static_cast<std::int64_t>(mask) + 1;
-      out.d[i] = static_cast<std::int8_t>(d);
-      if (d > 0) {  // v -= d
-        std::uint64_t borrow = static_cast<std::uint64_t>(d);
-        for (std::size_t j = 0; j < v.size() && borrow; ++j) {
-          const std::uint64_t before = v[j];
-          v[j] = before - borrow;
-          borrow = before < borrow ? 1 : 0;
-        }
-      } else {  // v += -d
-        std::uint64_t carry = static_cast<std::uint64_t>(-d);
-        for (std::size_t j = 0; j < v.size() && carry; ++j) {
-          const std::uint64_t before = v[j];
-          v[j] = before + carry;
-          carry = v[j] < before ? 1 : 0;
-        }
-      }
-    }
-    for (std::size_t j = 0; j + 1 < v.size(); ++j) {
-      v[j] = (v[j] >> 1) | (v[j + 1] << 63);
-    }
-    v.back() >>= 1;
-    ++i;
+/// Bits [pos, pos + count) of k, count <= 32; bits past 255 read as zero.
+std::uint32_t bits_at(const U256& k, int pos, int count) {
+  const int word = pos / 64;
+  const int shift = pos % 64;
+  std::uint64_t v = word < 4 ? k.w[static_cast<std::size_t>(word)] >> shift : 0;
+  if (shift + count > 64 && word + 1 < 4) {
+    v |= k.w[static_cast<std::size_t>(word) + 1] << (64 - shift);
   }
-  out.len = i;
-  return out;
+  return static_cast<std::uint32_t>(v & ((std::uint64_t{1} << count) - 1));
 }
 
-/// Odd multiples 1P, 3P, ..., 15P for width-5 NAF digits.
-struct OddTable {
-  std::array<Ge, 8> pts;
-};
-
-OddTable make_odd_table(const Ge& p) {
-  OddTable t;
-  t.pts[0] = p;
-  const Ge p2 = p.dbl();
-  for (std::size_t i = 1; i < t.pts.size(); ++i) t.pts[i] = t.pts[i - 1].add(p2);
-  return t;
+/// Windowed scan (as in libsecp256k1): skip zero positions one bit at a
+/// time, read a whole window at each nonzero digit, and center it with a
+/// carry into the next window.
+Naf wnaf(const U256& k, int w) {
+  Naf out;
+  int carry = 0;
+  int bit = 0;
+  while (bit < static_cast<int>(out.d.size())) {
+    if (static_cast<int>(bits_at(k, bit, 1)) == carry) {
+      ++bit;
+      continue;
+    }
+    int digit = static_cast<int>(bits_at(k, bit, w)) + carry;
+    carry = (digit >> (w - 1)) & 1;
+    digit -= carry << w;
+    out.d[static_cast<std::size_t>(bit)] = static_cast<std::int8_t>(digit);
+    out.len = bit + 1;
+    bit += w;
+  }
+  return out;
 }
 
 constexpr int kBaseWindow = 8;  ///< width-8 NAF for the fixed base point
 
-/// 1B, 3B, ..., 127B, built once.
-const std::array<Ge, 64>& base_odd_table() {
-  static const std::array<Ge, 64> kTable = [] {
-    std::array<Ge, 64> out;
-    out[0] = Ge::base();
-    const Ge b2 = Ge::base().dbl();
-    for (std::size_t i = 1; i < out.size(); ++i) out[i] = out[i - 1].add(b2);
+/// 1B, 3B, ..., 127B in affine form, built once.
+const std::array<GePrecomp, 64>& base_odd_table() {
+  static const std::array<GePrecomp, 64> kTable = [] {
+    std::array<GePrecomp, 64> out;
+    const GeCached b2 = Ge::base().dbl().to_cached();
+    Ge cur = Ge::base();
+    out[0] = GePrecomp::from(cur);
+    for (std::size_t i = 1; i < out.size(); ++i) {
+      cur = cur.add(b2).to_p3();
+      out[i] = GePrecomp::from(cur);
+    }
     return out;
   }();
   return kTable;
 }
 
-template <std::size_t N>
-Ge add_digit(const Ge& acc, const std::array<Ge, N>& odd, int d) {
-  return d > 0 ? acc.add(odd[static_cast<std::size_t>(d) >> 1])
-               : acc.add(odd[static_cast<std::size_t>(-d) >> 1].negate());
+/// The fixed-base comb: row i holds j * 256^i * B for j = 1..8, affine.
+using CombTable = std::array<std::array<GePrecomp, 8>, 32>;
+
+const CombTable& comb_table() {
+  static const CombTable kTable = [] {
+    CombTable out;
+    Ge row_base = Ge::base();  // 256^i * B
+    for (auto& row : out) {
+      const GeCached step = row_base.to_cached();
+      Ge cur = row_base;
+      row[0] = GePrecomp::from(cur);
+      for (std::size_t j = 1; j < row.size(); ++j) {
+        cur = cur.add(step).to_p3();
+        row[j] = GePrecomp::from(cur);
+      }
+      GeP2 p = row_base.to_p2();
+      for (int d = 0; d < 7; ++d) p = p.dbl().to_p2();
+      row_base = p.dbl().to_p3();
+    }
+    return out;
+  }();
+  return kTable;
 }
 
+GeP2 identity_p2() { return GeP2{Fe::zero(), Fe::one(), Fe::one()}; }
+
 }  // namespace
+
+// ------------------------------------------------------------ point forms
+
+GeP1P1 GeP2::dbl() const {
+  // ref10 ge_p2_dbl (dbl-2008-hwcd for a = -1): 4 squarings.
+  GeP1P1 r;
+  const Fe xx = X.square();
+  const Fe yy = Y.square();
+  const Fe zz = Z.square();
+  const Fe zz2 = zz + zz;
+  r.Y = yy + xx;
+  r.Z = yy - xx;
+  r.X = (X + Y).square() - r.Y;
+  r.T = zz2 - r.Z;
+  return r;
+}
+
+GeP2 GeP1P1::to_p2() const { return GeP2{X * T, Y * Z, Z * T}; }
+
+Ge GeP1P1::to_p3() const { return Ge{X * T, Y * Z, Z * T, X * Y}; }
+
+GeP2 Ge::to_p2() const { return GeP2{X, Y, Z}; }
+
+GeCached Ge::to_cached() const { return GeCached{Y + X, Y - X, Z, T * fe_const::kD2}; }
+
+GeP1P1 Ge::add(const GeCached& q) const {
+  const Fe a = (Y + X) * q.YplusX;
+  const Fe b = (Y - X) * q.YminusX;
+  const Fe c = q.T2d * T;
+  const Fe zz = Z * q.Z;
+  const Fe d = zz + zz;
+  return GeP1P1{a - b, a + b, d + c, d - c};
+}
+
+GeP1P1 Ge::sub(const GeCached& q) const {
+  const Fe a = (Y + X) * q.YminusX;
+  const Fe b = (Y - X) * q.YplusX;
+  const Fe c = q.T2d * T;
+  const Fe zz = Z * q.Z;
+  const Fe d = zz + zz;
+  return GeP1P1{a - b, a + b, d - c, d + c};
+}
+
+GeP1P1 Ge::madd(const GePrecomp& q) const {
+  const Fe a = (Y + X) * q.yplusx;
+  const Fe b = (Y - X) * q.yminusx;
+  const Fe c = q.xy2d * T;
+  const Fe d = Z + Z;
+  return GeP1P1{a - b, a + b, d + c, d - c};
+}
+
+GeP1P1 Ge::msub(const GePrecomp& q) const {
+  const Fe a = (Y + X) * q.yminusx;
+  const Fe b = (Y - X) * q.yplusx;
+  const Fe c = q.xy2d * T;
+  const Fe d = Z + Z;
+  return GeP1P1{a - b, a + b, d - c, d + c};
+}
+
+GePrecomp GePrecomp::from(const Ge& p) {
+  const Fe zinv = p.Z.invert();
+  const Fe x = p.X * zinv;
+  const Fe y = p.Y * zinv;
+  return GePrecomp{y + x, y - x, x * y * fe_const::kD2};
+}
+
+GeOddMultiples GeOddMultiples::of(const Ge& p) {
+  GeOddMultiples t;
+  const GeCached p2 = p.dbl().to_cached();
+  Ge cur = p;
+  t.pts[0] = cur.to_cached();
+  for (std::size_t i = 1; i < t.pts.size(); ++i) {
+    cur = cur.add(p2).to_p3();
+    t.pts[i] = cur.to_cached();
+  }
+  return t;
+}
+
+// ------------------------------------------------------------------ Ge
 
 Ge Ge::identity() {
   return Ge{Fe::zero(), Fe::one(), Fe::one(), Fe::zero()};
@@ -116,7 +193,7 @@ Ge Ge::add(const Ge& o) const {
   // add-2008-hwcd-3 for a = -1 twisted Edwards (unified, complete).
   const Fe A = (Y - X) * (o.Y - o.X);
   const Fe B = (Y + X) * (o.Y + o.X);
-  const Fe C = T * fe_const::d2() * o.T;
+  const Fe C = T * fe_const::kD2 * o.T;
   const Fe D = (Z + Z) * o.Z;
   const Fe E = B - A;
   const Fe F = D - C;
@@ -125,18 +202,7 @@ Ge Ge::add(const Ge& o) const {
   return Ge{E * F, G * H, F * G, E * H};
 }
 
-Ge Ge::dbl() const {
-  // dbl-2008-hwcd for a = -1.
-  const Fe A = X.square();
-  const Fe B = Y.square();
-  const Fe C = Z.square() + Z.square();
-  const Fe D = A.negate();
-  const Fe E = (X + Y).square() - A - B;
-  const Fe G = D + B;
-  const Fe F = G - C;
-  const Fe H = D - B;
-  return Ge{E * F, G * H, F * G, E * H};
-}
+Ge Ge::dbl() const { return to_p2().dbl().to_p3(); }
 
 Ge Ge::negate() const { return Ge{X.negate(), Y, Z, T.negate()}; }
 
@@ -156,48 +222,73 @@ Ge Ge::scalar_mul(const U256& k) const {
   return acc;
 }
 
-Ge Ge::scalar_mul_vartime(const U256& k) const {
-  const Naf naf = wnaf(k, 5);
-  if (naf.len == 0) return Ge::identity();
-  const OddTable odd = make_odd_table(*this);
-  Ge acc = Ge::identity();
-  for (int i = naf.len; i-- > 0;) {
-    acc = acc.dbl();
-    if (naf.d[i] != 0) acc = add_digit(acc, odd.pts, naf.d[i]);
-  }
-  return acc;
-}
-
 Ge Ge::base_scalar_mul(const U256& k) {
-  return multi_scalar_mul(k, std::span<const ScalarPoint>{});
+  if (k.bit(255)) return multi_scalar_mul(k, {});
+
+  // 64 signed radix-16 digits in [-8, 8): k = sum e[i] * 16^i.
+  std::array<int, 64> e{};
+  const auto bytes = k.to_bytes_le<32>();
+  for (std::size_t i = 0; i < 32; ++i) {
+    e[2 * i] = bytes[i] & 15;
+    e[2 * i + 1] = bytes[i] >> 4;
+  }
+  int carry = 0;
+  for (std::size_t i = 0; i < 63; ++i) {
+    e[i] += carry;
+    carry = (e[i] + 8) >> 4;
+    e[i] -= carry << 4;
+  }
+  e[63] += carry;  // <= 8 since bit 255 is clear
+
+  // Odd digits sit one radix-16 position above a comb row, so they are
+  // summed first and lifted by 16 (four doublings); even digits add on top.
+  const CombTable& comb = comb_table();
+  Ge h = Ge::identity();
+  const auto add_digit = [&](std::size_t i) {
+    const int d = e[i];
+    const auto& row = comb[i / 2];
+    if (d > 0) h = h.madd(row[static_cast<std::size_t>(d - 1)]).to_p3();
+    if (d < 0) h = h.msub(row[static_cast<std::size_t>(-d - 1)]).to_p3();
+  };
+  for (std::size_t i = 1; i < 64; i += 2) add_digit(i);
+  h = h.to_p2().dbl().to_p2().dbl().to_p2().dbl().to_p2().dbl().to_p3();
+  for (std::size_t i = 0; i < 64; i += 2) add_digit(i);
+  return h;
 }
 
-Ge Ge::multi_scalar_mul(const U256& base_scalar, std::span<const ScalarPoint> terms) {
+Ge Ge::multi_scalar_mul(const U256& base_scalar, std::span<const Term> terms) {
   const Naf base_naf = wnaf(base_scalar, kBaseWindow);
   std::vector<Naf> nafs;
-  std::vector<OddTable> tables;
   nafs.reserve(terms.size());
-  tables.reserve(terms.size());
   int top = base_naf.len;
   for (const auto& t : terms) {
     nafs.push_back(wnaf(t.scalar, 5));
-    tables.push_back(make_odd_table(t.point));
     top = std::max(top, nafs.back().len);
   }
+  if (top == 0) return Ge::identity();
 
-  Ge acc = Ge::identity();
-  for (int i = top; i-- > 0;) {
-    acc = acc.dbl();
-    if (i < base_naf.len && base_naf.d[i] != 0) {
-      acc = add_digit(acc, base_odd_table(), base_naf.d[i]);
-    }
+  const auto& base_odd = base_odd_table();
+  GeP2 acc = identity_p2();
+  for (int i = top;;) {
+    --i;
+    GeP1P1 t = acc.dbl();
+    const int bd = base_naf.d[static_cast<std::size_t>(i)];
+    if (bd > 0) t = t.to_p3().madd(base_odd[static_cast<std::size_t>(bd) >> 1]);
+    if (bd < 0) t = t.to_p3().msub(base_odd[static_cast<std::size_t>(-bd) >> 1]);
     for (std::size_t j = 0; j < nafs.size(); ++j) {
-      if (i < nafs[j].len && nafs[j].d[i] != 0) {
-        acc = add_digit(acc, tables[j].pts, nafs[j].d[i]);
-      }
+      const int d = nafs[j].d[static_cast<std::size_t>(i)];
+      if (d > 0) t = t.to_p3().add(terms[j].odd->pts[static_cast<std::size_t>(d) >> 1]);
+      if (d < 0) t = t.to_p3().sub(terms[j].odd->pts[static_cast<std::size_t>(-d) >> 1]);
     }
+    if (i == 0) return t.to_p3();
+    acc = t.to_p2();
   }
-  return acc;
+}
+
+bool Ge::is_torsion_free() const {
+  const GeOddMultiples odd = GeOddMultiples::of(*this);
+  const Term term{kOrderL, &odd};
+  return multi_scalar_mul(U256::zero(), std::span(&term, 1)).is_identity();
 }
 
 std::array<std::uint8_t, 32> Ge::compress() const {
@@ -217,7 +308,7 @@ std::optional<Ge> Ge::decompress(codec::ByteView b) {
   // x^2 = (y^2 - 1) / (d*y^2 + 1)
   const Fe y2 = y.square();
   const Fe u = y2 - Fe::one();
-  const Fe v = fe_const::d() * y2 + Fe::one();
+  const Fe v = fe_const::kD * y2 + Fe::one();
   Fe x;
   if (!fe_sqrt_ratio(u, v, x)) return std::nullopt;
   if (x.is_zero() && sign) return std::nullopt;  // -0 is not a valid encoding

@@ -8,10 +8,26 @@
 
 namespace setchain::crypto {
 
-struct GeScalarPoint;
+struct GeP2;
+struct GeP1P1;
+struct GeCached;
+struct GePrecomp;
+struct GeOddMultiples;
+
+/// Order L = 2^252 + 27742317777372353535851937790883648493 of the
+/// prime-order subgroup generated by the base point.
+inline constexpr U256 kOrderL{{0x5812631A5CF5D3EDULL, 0x14DEF9DEA2F79CD6ULL, 0,
+                               0x1000000000000000ULL}};
 
 /// Point on edwards25519 in extended homogeneous coordinates
-/// (X : Y : Z : T) with x = X/Z, y = Y/Z, x*y = T/Z.
+/// (X : Y : Z : T) with x = X/Z, y = Y/Z, x*y = T/Z (ref10's "p3").
+///
+/// The hot paths work in ref10's other point forms (below): a doubling
+/// reads only X, Y, Z (p2) and yields a completed point (p1p1); an addition
+/// takes one operand pre-shaped as "cached" (projective Niels, 8M) or
+/// "precomp" (affine Niels, 7M) and also yields a p1p1. Converting a p1p1
+/// costs 3M to p2 (enough for the next doubling) or 4M to p3 (needed before
+/// an addition), so doubling chains never compute an unused T.
 struct Ge {
   Fe X, Y, Z, T;
 
@@ -19,45 +35,87 @@ struct Ge {
   /// The standard base point B (y = 4/5, x even), derived at first use.
   static const Ge& base();
 
+  /// Complete unified addition (add-2008-hwcd-3, 9M). The plain formula:
+  /// the oracle of scalar_mul and of the cached/precomp forms in tests.
   Ge add(const Ge& o) const;
   Ge dbl() const;
   Ge negate() const;
 
+  GeP2 to_p2() const;
+  GeCached to_cached() const;
+  GeP1P1 add(const GeCached& q) const;   ///< this + q
+  GeP1P1 sub(const GeCached& q) const;   ///< this - q
+  GeP1P1 madd(const GePrecomp& q) const;  ///< this + q, q affine
+  GeP1P1 msub(const GePrecomp& q) const;  ///< this - q, q affine
+
   bool is_identity() const;
 
-  /// Scalar multiplication, plain double-and-add over 256 bits.
+  /// Scalar multiplication, plain double-and-add over 256 bits: the
+  /// reference every faster path is tested against.
   Ge scalar_mul(const U256& k) const;
 
-  /// Scalar multiplication via signed width-5 windowed NAF. Variable time
-  /// (this library signs simulation traffic, not secrets); ~40% of the
-  /// point operations of plain double-and-add.
-  Ge scalar_mul_vartime(const U256& k) const;
-
-  /// k*B through the precomputed width-8 odd-multiples table of the base
-  /// point: the fast path for signing and the fixed-base half of verify.
+  /// k*B through a precomputed fixed-base comb (ref10's 32 x 8 table of
+  /// j*256^i*B): 64 signed radix-16 digits cost 64 mixed additions and 4
+  /// doublings. The signing / key-derivation path. Scalars >= 2^255 (never
+  /// produced by Ed25519) take the multi-scalar path instead.
   static Ge base_scalar_mul(const U256& k);
 
-  using ScalarPoint = GeScalarPoint;
+  /// One term of multi_scalar_mul: the scalar and the cached odd multiples
+  /// of its point (built once by the caller, so a key verified many times
+  /// pays for its table once).
+  struct Term {
+    U256 scalar;
+    const GeOddMultiples* odd = nullptr;
+  };
 
   /// Straus/interleaved multi-scalar multiplication:
   ///   base_scalar*B + sum_i terms[i].scalar * terms[i].point
   /// One shared doubling chain for all terms (the doublings amortize across
   /// the whole sum, which is what makes batch signature verification pay
-  /// off). Variable time.
-  static Ge multi_scalar_mul(const U256& base_scalar,
-                             std::span<const GeScalarPoint> terms);
+  /// off); width-5 NAF digits for the terms, width-8 for B. Variable time.
+  static Ge multi_scalar_mul(const U256& base_scalar, std::span<const Term> terms);
+
+  /// [L]P == identity: P has no small-order component. Costs about one
+  /// variable-base scalar multiplication.
+  bool is_torsion_free() const;
 
   /// Compressed 32-byte encoding: y with the sign of x in the top bit.
+  /// Always canonical (y < p; sign bit clear when x == 0).
   std::array<std::uint8_t, 32> compress() const;
 
   /// Decompress; rejects non-curve points and the x==0/sign==1 encoding.
   static std::optional<Ge> decompress(codec::ByteView bytes32);
 };
 
-/// One term of a multi-scalar multiplication (see Ge::multi_scalar_mul).
-struct GeScalarPoint {
-  U256 scalar;
-  Ge point;
+/// Projective (X : Y : Z): all a doubling reads.
+struct GeP2 {
+  Fe X, Y, Z;
+  GeP1P1 dbl() const;
+};
+
+/// Completed ((X : Z), (Y : T)): what additions and doublings produce.
+struct GeP1P1 {
+  Fe X, Y, Z, T;
+  GeP2 to_p2() const;
+  Ge to_p3() const;
+};
+
+/// Projective Niels form (Y+X, Y-X, Z, 2d*T) of an addition operand.
+struct GeCached {
+  Fe YplusX, YminusX, Z, T2d;
+};
+
+/// Affine Niels form (y+x, y-x, 2d*x*y): a cached point with Z = 1.
+struct GePrecomp {
+  Fe yplusx, yminusx, xy2d;
+  static GePrecomp from(const Ge& p);  ///< one inversion
+};
+
+/// P, 3P, 5P, ..., 15P in cached form: the table a width-5 NAF digit of a
+/// multi_scalar_mul term selects from.
+struct GeOddMultiples {
+  std::array<GeCached, 8> pts;
+  static GeOddMultiples of(const Ge& p);
 };
 
 }  // namespace setchain::crypto

@@ -10,7 +10,7 @@ Pki::Pki(std::uint64_t master_seed) : master_seed_(master_seed) {}
 
 const Ed25519::PublicKey& Pki::register_process(ProcessId id) {
   auto it = keys_.find(id);
-  if (it != keys_.end()) return it->second.pub;
+  if (it != keys_.end()) return it->second.verify.bytes;
 
   // seed = SHA-512(master_seed || id)[0..32): deterministic, collision-free
   // per process.
@@ -19,30 +19,30 @@ const Ed25519::PublicKey& Pki::register_process(ProcessId id) {
   codec::append_u32le(material, id);
   const auto digest = Sha512::hash(material);
 
-  Entry e;
-  std::copy(digest.begin(), digest.begin() + 32, e.seed.begin());
-  e.pub = Ed25519::public_key(e.seed);
-  auto [pos, _] = keys_.emplace(id, e);
-  return pos->second.pub;
+  Ed25519::Seed seed;
+  std::copy(digest.begin(), digest.begin() + 32, seed.begin());
+  auto [signing, verify] = Ed25519::keypair(seed);
+  auto [pos, _] = keys_.emplace(id, Entry{signing, verify});
+  return pos->second.verify.bytes;
 }
 
 const Ed25519::PublicKey& Pki::public_key(ProcessId id) const {
   auto it = keys_.find(id);
   if (it == keys_.end()) throw std::out_of_range("Pki: unknown process");
-  return it->second.pub;
+  return it->second.verify.bytes;
 }
 
 Ed25519::Signature Pki::sign(ProcessId id, codec::ByteView message) const {
   auto it = keys_.find(id);
   if (it == keys_.end()) throw std::out_of_range("Pki: unknown process");
-  return Ed25519::sign(it->second.seed, it->second.pub, message);
+  return Ed25519::sign(it->second.signing, message);
 }
 
 bool Pki::verify(ProcessId id, codec::ByteView message,
                  const Ed25519::Signature& sig) const {
   auto it = keys_.find(id);
   if (it == keys_.end()) return false;
-  return Ed25519::verify(it->second.pub, message, sig);
+  return Ed25519::verify(it->second.verify, message, sig);
 }
 
 Ed25519::BatchResult Pki::verify_batch(std::span<const SignedMessage> items) const {
@@ -53,7 +53,8 @@ Ed25519::BatchResult Pki::verify_batch(std::span<const SignedMessage> items) con
   for (std::size_t i = 0; i < items.size(); ++i) {
     const auto it = keys_.find(items[i].signer);
     if (it == keys_.end()) continue;  // unknown process: invalid, not batched
-    entries.push_back(Ed25519::BatchEntry{&it->second.pub, items[i].message, items[i].sig});
+    const Ed25519::VerifyKey& key = it->second.verify;
+    entries.push_back(Ed25519::BatchEntry{&key.bytes, items[i].message, items[i].sig, &key});
     positions.push_back(i);
   }
 

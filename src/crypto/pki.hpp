@@ -15,6 +15,11 @@ using ProcessId = std::uint32_t;
 /// Public-key infrastructure from the paper's system model: every process
 /// has a keypair and knows everyone's public key. Keys are derived
 /// deterministically from a master seed so simulation runs are reproducible.
+///
+/// Each registered process keeps its keys prepared: the expanded secret for
+/// signing and the decoded -A table for verifying, built once here. After
+/// registration the entries are read-only, so the verify pool and node
+/// threads may sign and verify concurrently.
 class Pki {
  public:
   explicit Pki(std::uint64_t master_seed);
@@ -50,8 +55,8 @@ class Pki {
 
  private:
   struct Entry {
-    Ed25519::Seed seed;
-    Ed25519::PublicKey pub;
+    Ed25519::SigningKey signing;
+    Ed25519::VerifyKey verify;
   };
   std::uint64_t master_seed_;
   std::unordered_map<ProcessId, Entry> keys_;

@@ -20,6 +20,23 @@ std::chrono::steady_clock::duration from_seconds_d(double s) {
   return std::chrono::duration_cast<std::chrono::steady_clock::duration>(
       std::chrono::duration<double>(s));
 }
+
+/// epoll_wait with a sub-millisecond timeout. epoll_wait's whole
+/// milliseconds would truncate the gap to the next open-loop arrival
+/// (usually < 1 ms) to 0 and spin the fleet thread on a full core;
+/// epoll_pwait2 sleeps the exact gap. Kernels without it (before 5.11) get
+/// the gap rounded up to a millisecond: a late arrival, never a spin.
+int epoll_wait_for(int epfd, std::vector<epoll_event>& evs,
+                   std::chrono::steady_clock::duration timeout) {
+  const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count();
+  timespec ts{};
+  ts.tv_sec = static_cast<time_t>(ns / 1'000'000'000);
+  ts.tv_nsec = static_cast<long>(ns % 1'000'000'000);
+  const int n = ::epoll_pwait2(epfd, evs.data(), static_cast<int>(evs.size()), &ts, nullptr);
+  if (n >= 0 || errno != ENOSYS) return n;
+  const auto ms = std::chrono::ceil<std::chrono::milliseconds>(timeout).count();
+  return ::epoll_wait(epfd, evs.data(), static_cast<int>(evs.size()), static_cast<int>(ms));
+}
 }  // namespace
 
 PooledElementSource::PooledElementSource(const std::vector<core::Element>& pool,
@@ -357,13 +374,10 @@ PhaseStats LoadFleet::run_phase(IElementSource& source,
         next_arr = to_tp(arrival.next());
       }
     }
-    int timeout_ms = 10;
     const auto horizon = open ? std::min(next_arr, t_end) : t_end;
-    const auto gap =
-        std::chrono::duration_cast<std::chrono::milliseconds>(horizon - Clock::now())
-            .count();
-    timeout_ms = static_cast<int>(std::clamp<long long>(gap, 0, timeout_ms));
-    const int n = ::epoll_wait(epoll_fd_, evs.data(), kMaxEvents, timeout_ms);
+    const Clock::duration gap = std::clamp<Clock::duration>(
+        horizon - Clock::now(), Clock::duration::zero(), std::chrono::milliseconds(10));
+    const int n = epoll_wait_for(epoll_fd_, evs, gap);
     const auto t_rx = Clock::now();
     for (int i = 0; i < n; ++i) {
       auto* s = static_cast<Session*>(evs[i].data.ptr);

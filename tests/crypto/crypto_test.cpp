@@ -7,7 +7,6 @@
 #include "crypto/ed25519.hpp"
 #include "crypto/fe25519.hpp"
 #include "crypto/ge25519.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/pki.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
@@ -94,36 +93,6 @@ TEST(Sha512, IncrementalAcrossBlockBoundary) {
     ctx.update(codec::ByteView(msg.data() + split, msg.size() - split));
     EXPECT_EQ(ctx.finalize(), Sha512::hash(msg)) << split;
   }
-}
-
-// ---------------------------------------------------------------------- HMAC
-
-TEST(Hmac, Rfc4231Case1) {
-  const codec::Bytes key(20, 0x0b);
-  const auto msg = codec::to_bytes("Hi There");
-  const auto mac256 = hmac<Sha256, 64>(key, msg);
-  EXPECT_EQ(hex(codec::ByteView(mac256.data(), mac256.size())),
-            "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
-  const auto mac512 = hmac<Sha512, 128>(key, msg);
-  EXPECT_EQ(hex(codec::ByteView(mac512.data(), mac512.size())),
-            "87aa7cdea5ef619d4ff0b4241a1d6cb02379f4e2ce4ec2787ad0b30545e17cde"
-            "daa833b7d6b8a702038b274eaea3f4e4be9d914eeb61f1702e696c203a126854");
-}
-
-TEST(Hmac, Rfc4231Case2) {
-  const auto key = codec::to_bytes("Jefe");
-  const auto msg = codec::to_bytes("what do ya want for nothing?");
-  const auto mac = hmac<Sha256, 64>(key, msg);
-  EXPECT_EQ(hex(codec::ByteView(mac.data(), mac.size())),
-            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
-}
-
-TEST(Hmac, LongKeyIsHashedFirst) {
-  const codec::Bytes key(131, 0xaa);  // RFC 4231 case 6 key shape
-  const auto msg = codec::to_bytes("Test Using Larger Than Block-Size Key - Hash Key First");
-  const auto mac = hmac<Sha256, 64>(key, msg);
-  EXPECT_EQ(hex(codec::ByteView(mac.data(), mac.size())),
-            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
 }
 
 // -------------------------------------------------------------------- bigint
@@ -234,14 +203,14 @@ TEST(Fe25519, InverseIsInverse) {
 }
 
 TEST(Fe25519, SqrtMinusOneSquaresToMinusOne) {
-  const Fe i = fe_const::sqrt_m1();
+  const Fe i = fe_const::kSqrtM1;
   EXPECT_TRUE(i.square().equals(Fe::one().negate()));
 }
 
 TEST(Fe25519, DConstantMatchesRfc8032) {
   // d = 370957059346694393431380835087545651895421138798432190163887855330
   //     85940283555
-  const auto d_bytes = fe_const::d().to_bytes();
+  const auto d_bytes = fe_const::kD.to_bytes();
   EXPECT_EQ(hex(codec::ByteView(d_bytes.data(), 32)),
             "a3785913ca4deb75abd841414d0a700098e879777940c78c73fe6f2bee6c0352");
 }
@@ -293,6 +262,209 @@ TEST(Ge25519, CompressDecompressRoundtrip) {
     ASSERT_TRUE(q.has_value()) << k;
     EXPECT_EQ(q->compress(), enc) << k;
   }
+}
+
+// ------------------------------------------- differential kernel tests
+// The fast kernels (dedicated squaring, addition-chain exponentiations,
+// cached/affine point forms, the fixed-base comb) against the plain
+// definitions they replace.
+
+/// Bit-by-bit square-and-multiply: the generic exponentiation the addition
+/// chains replaced, kept here as their reference.
+Fe reference_pow(const Fe& a, const std::array<std::uint8_t, 32>& exp_le) {
+  Fe result = Fe::one();
+  for (int bit = 255; bit >= 0; --bit) {
+    result = result * result;
+    if ((exp_le[static_cast<std::size_t>(bit / 8)] >> (bit % 8)) & 1) result = result * a;
+  }
+  return result;
+}
+
+/// All-0xFF exponent bytes with the given lowest and highest byte.
+std::array<std::uint8_t, 32> exponent(std::uint8_t lowest, std::uint8_t highest) {
+  std::array<std::uint8_t, 32> e;
+  e.fill(0xFF);
+  e[0] = lowest;
+  e[31] = highest;
+  return e;
+}
+
+const auto kPMinus2 = exponent(0xEB, 0x7F);    // 2^255 - 21
+const auto kPMinus5Over8 = exponent(0xFD, 0x0F);  // 2^252 - 3
+const auto kPMinus1Over4 = exponent(0xFB, 0x1F);  // 2^253 - 5
+
+/// RFC 8032 square root of u/v through the reference exponentiation.
+bool reference_sqrt_ratio(const Fe& u, const Fe& v, Fe& x) {
+  const Fe v3 = v * v * v;
+  const Fe v7 = v3 * v3 * v;
+  const Fe cand = u * v3 * reference_pow(u * v7, kPMinus5Over8);
+  const Fe check = v * cand * cand;
+  if (check.equals(u)) {
+    x = cand;
+    return true;
+  }
+  if (check.equals(u.negate())) {
+    x = cand * reference_pow(Fe::from_u64(2), kPMinus1Over4);
+    return true;
+  }
+  return false;
+}
+
+/// Random field element with every limb anywhere below 2^52 — the bound
+/// the multiply and square accept (inputs need not be reduced).
+Fe random_fe_wide(sim::Rng& rng) {
+  Fe f;
+  for (auto& l : f.v) l = rng.next_u64() & ((std::uint64_t{1} << 52) - 1);
+  return f;
+}
+
+TEST(FeKernel, SquareMatchesMultiply) {
+  sim::Rng rng(61);
+  for (int i = 0; i < 2000; ++i) {
+    const Fe a = random_fe_wide(rng);
+    ASSERT_EQ(a.square().to_bytes(), (a * a).to_bytes()) << i;
+  }
+  // Limbs at the carry bound, alone and mixed with zeros.
+  constexpr std::uint64_t kTop = (std::uint64_t{1} << 52) - 1;
+  for (int mask = 0; mask < 32; ++mask) {
+    Fe a;
+    for (int l = 0; l < 5; ++l) a.v[static_cast<std::size_t>(l)] = (mask >> l) & 1 ? kTop : 0;
+    EXPECT_EQ(a.square().to_bytes(), (a * a).to_bytes()) << mask;
+    EXPECT_EQ(a.square_times(3).to_bytes(), (a * a * (a * a) * (a * a * (a * a))).to_bytes())
+        << mask;
+  }
+}
+
+TEST(FeKernel, InvertMatchesReferencePow) {
+  sim::Rng rng(67);
+  EXPECT_TRUE(Fe::zero().invert().is_zero());
+  EXPECT_TRUE(Fe::one().invert().equals(Fe::one()));
+  for (int i = 0; i < 50; ++i) {
+    const Fe a = random_fe_wide(rng);
+    EXPECT_EQ(a.invert().to_bytes(), reference_pow(a, kPMinus2).to_bytes()) << i;
+    EXPECT_EQ(a.pow22523().to_bytes(), reference_pow(a, kPMinus5Over8).to_bytes()) << i;
+  }
+}
+
+TEST(FeKernel, SqrtRatioMatchesReference) {
+  sim::Rng rng(71);
+  int roots = 0;
+  for (int i = 0; i < 100; ++i) {
+    const Fe u = random_fe_wide(rng);
+    const Fe v = i % 10 == 0 ? Fe::one() : random_fe_wide(rng);
+    Fe x_fast, x_ref;
+    const bool ok_fast = fe_sqrt_ratio(u, v, x_fast);
+    const bool ok_ref = reference_sqrt_ratio(u, v, x_ref);
+    ASSERT_EQ(ok_fast, ok_ref) << i;
+    if (!ok_fast) continue;
+    ++roots;
+    EXPECT_EQ(x_fast.to_bytes(), x_ref.to_bytes()) << i;
+    EXPECT_TRUE((v * x_fast.square()).equals(u)) << i;
+  }
+  EXPECT_GT(roots, 20);  // about half of random ratios are squares
+}
+
+TEST(FeKernel, ConstantsMatchDefinitions) {
+  const Fe d = Fe::from_u64(121665).negate() * Fe::from_u64(121666).invert();
+  EXPECT_EQ(fe_const::kD.to_bytes(), d.to_bytes());
+  EXPECT_EQ(fe_const::kD2.to_bytes(), (d + d).to_bytes());
+  EXPECT_EQ(fe_const::kSqrtM1.to_bytes(),
+            reference_pow(Fe::from_u64(2), kPMinus1Over4).to_bytes());
+}
+
+U256 random_scalar(sim::Rng& rng) {
+  U256 k;
+  for (auto& w : k.w) w = rng.next_u64();
+  return k;
+}
+
+/// Curve points with and without small-order parts: multiples of B, the
+/// identity, the 2-torsion point (0, -1) and a 4-torsion point (x, 0).
+std::vector<Ge> sample_points(sim::Rng& rng) {
+  std::vector<Ge> pts = {Ge::identity(), Ge::base(),
+                         Ge{Fe::zero(), Fe::one().negate(), Fe::one(), Fe::zero()}};
+  const std::array<std::uint8_t, 32> y_zero{};  // y = 0: x = sqrt(-1), order 4
+  pts.push_back(*Ge::decompress(codec::ByteView(y_zero.data(), y_zero.size())));
+  for (int i = 0; i < 6; ++i) {
+    U256 k = random_scalar(rng);
+    k.w[3] &= 0x0FFFFFFFFFFFFFFFULL;
+    pts.push_back(Ge::base().scalar_mul(k));
+  }
+  pts.push_back(pts[4].add(pts[3]));  // prime-order part plus 4-torsion
+  return pts;
+}
+
+TEST(GeKernel, PointFormsMatchUnifiedAdd) {
+  sim::Rng rng(73);
+  const auto pts = sample_points(rng);
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    const Ge& p = pts[i];
+    EXPECT_EQ(p.to_p2().dbl().to_p3().compress(), p.add(p).compress()) << i;
+    for (std::size_t j = 0; j < pts.size(); ++j) {
+      const Ge& q = pts[j];
+      const auto sum = p.add(q).compress();
+      const auto diff = p.add(q.negate()).compress();
+      EXPECT_EQ(p.add(q.to_cached()).to_p3().compress(), sum) << i << "," << j;
+      EXPECT_EQ(p.sub(q.to_cached()).to_p3().compress(), diff) << i << "," << j;
+      EXPECT_EQ(p.madd(GePrecomp::from(q)).to_p3().compress(), sum) << i << "," << j;
+      EXPECT_EQ(p.msub(GePrecomp::from(q)).to_p3().compress(), diff) << i << "," << j;
+      // The p2 route (no T) must describe the same point as the p3 route.
+      const GeP2 via_p2 = p.add(q.to_cached()).to_p2();
+      const Ge from_p2{via_p2.X, via_p2.Y, via_p2.Z, Fe::zero()};
+      EXPECT_EQ(from_p2.compress(), sum) << i << "," << j;
+    }
+  }
+}
+
+TEST(GeKernel, OddMultiplesMatchScalarMul) {
+  sim::Rng rng(79);
+  for (const Ge& p : sample_points(rng)) {
+    const GeOddMultiples odd = GeOddMultiples::of(p);
+    for (std::size_t m = 0; m < odd.pts.size(); ++m) {
+      const Ge want = p.scalar_mul(U256::from_u64(2 * m + 1));
+      // identity + cached(mP) == mP
+      EXPECT_EQ(Ge::identity().add(odd.pts[m]).to_p3().compress(), want.compress()) << m;
+    }
+  }
+}
+
+TEST(GeKernel, CombBaseScalarMulMatchesPlain) {
+  sim::Rng rng(83);
+  std::vector<U256> scalars = {U256::zero(), U256::from_u64(1), U256::from_u64(8),
+                               U256::from_u64(15), U256::from_u64(16)};
+  U256 l_minus_1 = kOrderL;
+  l_minus_1.sub_in_place(U256::from_u64(1));
+  scalars.push_back(l_minus_1);
+  scalars.push_back(kOrderL);
+  U256 top;  // 2^255 - 1: every comb digit at its extreme
+  for (auto& w : top.w) w = ~std::uint64_t{0};
+  top.w[3] >>= 1;
+  scalars.push_back(top);
+  U256 all_ones;  // 2^256 - 1: bit 255 set, the non-comb path
+  for (auto& w : all_ones.w) w = ~std::uint64_t{0};
+  scalars.push_back(all_ones);
+  for (int i = 0; i < 40; ++i) {
+    U256 k = random_scalar(rng);
+    if (i % 2 == 0) k.w[3] &= 0x7FFFFFFFFFFFFFFFULL;
+    scalars.push_back(k);
+  }
+  for (std::size_t i = 0; i < scalars.size(); ++i) {
+    EXPECT_EQ(Ge::base_scalar_mul(scalars[i]).compress(),
+              Ge::base().scalar_mul(scalars[i]).compress())
+        << i;
+  }
+  EXPECT_TRUE(Ge::base_scalar_mul(kOrderL).is_identity());
+}
+
+TEST(GeKernel, TorsionFreeOnlyWithoutSmallOrderPart) {
+  sim::Rng rng(89);
+  const auto pts = sample_points(rng);
+  EXPECT_TRUE(pts[0].is_torsion_free());   // identity
+  EXPECT_TRUE(pts[1].is_torsion_free());   // B
+  EXPECT_FALSE(pts[2].is_torsion_free());  // order 2
+  EXPECT_FALSE(pts[3].is_torsion_free());  // order 4
+  for (std::size_t i = 4; i + 1 < pts.size(); ++i) EXPECT_TRUE(pts[i].is_torsion_free()) << i;
+  EXPECT_FALSE(pts.back().is_torsion_free());  // mixed
 }
 
 // ------------------------------------------------------------------- Ed25519

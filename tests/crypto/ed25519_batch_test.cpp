@@ -5,6 +5,8 @@
 // entry, for valid and invalid signatures alike.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "codec/bytes.hpp"
@@ -26,25 +28,36 @@ U256 random_u256(sim::Rng& rng) {
 
 // ---------------------------------------------------- ge25519 scalar-mul fast paths
 
-TEST(Ge25519MultiScalar, VartimeMatchesPlainScalarMul) {
+/// k*P through the multi-scalar path alone (no base-point term).
+Ge single_term(const Ge& p, const U256& k) {
+  const GeOddMultiples odd = GeOddMultiples::of(p);
+  const Ge::Term term{k, &odd};
+  return Ge::multi_scalar_mul(U256::zero(), std::span(&term, 1));
+}
+
+TEST(Ge25519MultiScalar, SingleTermMatchesPlainScalarMul) {
   sim::Rng rng(2024);
   const Ge p = Ge::base().scalar_mul(U256::from_u64(7));
   for (int i = 0; i < 20; ++i) {
     U256 k = random_u256(rng);
     k.w[3] &= 0x0FFFFFFFFFFFFFFFULL;  // stay under 2^252-ish like real scalars
-    EXPECT_EQ(p.scalar_mul_vartime(k).compress(), p.scalar_mul(k).compress()) << i;
+    EXPECT_EQ(single_term(p, k).compress(), p.scalar_mul(k).compress()) << i;
   }
 }
 
-TEST(Ge25519MultiScalar, VartimeEdgeScalars) {
+TEST(Ge25519MultiScalar, SingleTermEdgeScalars) {
   const Ge p = Ge::base().scalar_mul(U256::from_u64(11));
-  EXPECT_TRUE(p.scalar_mul_vartime(U256::zero()).is_identity());
-  EXPECT_EQ(p.scalar_mul_vartime(U256::from_u64(1)).compress(), p.compress());
+  EXPECT_TRUE(single_term(p, U256::zero()).is_identity());
+  EXPECT_EQ(single_term(p, U256::from_u64(1)).compress(), p.compress());
   for (std::uint64_t k : {2ULL, 15ULL, 16ULL, 17ULL, 255ULL, 65537ULL}) {
-    EXPECT_EQ(p.scalar_mul_vartime(U256::from_u64(k)).compress(),
+    EXPECT_EQ(single_term(p, U256::from_u64(k)).compress(),
               p.scalar_mul(U256::from_u64(k)).compress())
         << k;
   }
+  // Full 256-bit scalars: the NAF's carry runs past bit 255.
+  U256 all_ones;
+  for (auto& w : all_ones.w) w = ~std::uint64_t{0};
+  EXPECT_EQ(single_term(p, all_ones).compress(), p.scalar_mul(all_ones).compress());
 }
 
 TEST(Ge25519MultiScalar, BaseScalarMulMatchesPlain) {
@@ -61,13 +74,16 @@ TEST(Ge25519MultiScalar, MultiScalarMatchesSumOfScalarMuls) {
   for (int trial = 0; trial < 5; ++trial) {
     U256 base_k = random_u256(rng);
     base_k.w[3] &= 0x0FFFFFFFFFFFFFFFULL;
-    std::vector<Ge::ScalarPoint> terms;
+    std::vector<GeOddMultiples> tables;
+    std::vector<Ge::Term> terms;
+    tables.reserve(4);
     Ge expected = Ge::base().scalar_mul(base_k);
     for (int j = 0; j < 4; ++j) {
       U256 k = random_u256(rng);
       k.w[3] &= 0x0FFFFFFFFFFFFFFFULL;
       const Ge p = Ge::base().scalar_mul(U256::from_u64(rng.next_u64() | 1));
-      terms.push_back(Ge::ScalarPoint{k, p});
+      tables.push_back(GeOddMultiples::of(p));
+      terms.push_back(Ge::Term{k, &tables.back()});
       expected = expected.add(p.scalar_mul(k));
     }
     EXPECT_EQ(Ge::multi_scalar_mul(base_k, terms).compress(), expected.compress())
@@ -303,6 +319,230 @@ TEST(Ed25519Batch, AgreesWithScalarVerifyOnRandomizedSuite) {
     }
   }
   EXPECT_EQ(checked, 1000u);
+}
+
+// ------------------------------------------- shared signers and edge keys
+
+/// A key whose secret the test holds, so it can build signatures that are
+/// deliberately odd yet satisfy (or miss) the verification equation.
+struct TestSigner {
+  Ed25519::SigningKey sk;
+  Ed25519::VerifyKey vk;
+};
+
+TestSigner test_signer(std::uint8_t tag) {
+  Ed25519::Seed seed{};
+  seed.fill(tag);
+  auto [sk, vk] = Ed25519::keypair(seed);
+  return TestSigner{sk, vk};
+}
+
+/// k = H(R || A || M) mod L, the challenge scalar of the verify equation.
+U256 challenge(codec::ByteView r, const Ed25519::PublicKey& a, codec::ByteView m) {
+  Sha512 h;
+  h.update(r);
+  h.update(codec::ByteView(a.data(), a.size()));
+  h.update(m);
+  const auto d = h.finalize();
+  return mod_512(U512::from_bytes_le(codec::ByteView(d.data(), d.size())), kOrderL);
+}
+
+Ed25519::PublicKey key_from_hex(const char* hex_str) {
+  Ed25519::PublicKey out{};
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = static_cast<std::uint8_t>(std::stoi(std::string(hex_str + 2 * i, 2), nullptr, 16));
+  }
+  return out;
+}
+
+/// Batch verdicts (prepared keys and raw keys, several shardings) must equal
+/// scalar verdicts entry by entry.
+void expect_batch_agrees(const std::vector<Signed>& s, const std::vector<const Ed25519::VerifyKey*>& keys,
+                         const std::string& what) {
+  std::vector<bool> scalar(s.size());
+  for (std::size_t i = 0; i < s.size(); ++i) scalar[i] = Ed25519::verify(s[i].pub, s[i].msg, s[i].sig);
+  auto raw = entries_of(s);
+  auto prepared = raw;
+  for (std::size_t i = 0; i < s.size(); ++i) prepared[i].key = keys[i];
+  for (const auto* es : {&raw, &prepared}) {
+    for (const std::size_t shards : {1u, 3u}) {
+      const auto res = Ed25519::verify_batch_sharded(*es, shards);
+      bool all = true;
+      for (std::size_t i = 0; i < s.size(); ++i) {
+        ASSERT_EQ(res.valid[i], scalar[i])
+            << what << " entry " << i << (es == &raw ? " raw" : " prepared") << " shards "
+            << shards;
+        all = all && scalar[i];
+      }
+      EXPECT_EQ(res.all_valid, all) << what;
+    }
+  }
+}
+
+TEST(Ed25519Batch, SharedSignersWithHiddenForgeriesAgreeWithScalar) {
+  // Entries from 3 signers, so each signer's entries merge into one A
+  // term; forgeries hide among same-key valid entries, so the combined
+  // check fails and bisection has to separate them inside a group.
+  std::vector<TestSigner> signers = {test_signer(1), test_signer(2), test_signer(3)};
+  sim::Rng rng(8080);
+  std::size_t forged_total = 0;
+  for (int round = 0; round < 12; ++round) {
+    const std::size_t n = 8 + rng.next_u64() % 40;
+    std::vector<Signed> s(n);
+    std::vector<const Ed25519::VerifyKey*> keys(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      const TestSigner& t = signers[rng.next_u64() % signers.size()];
+      s[i].pub = t.vk.bytes;
+      keys[i] = &t.vk;
+      s[i].msg.resize(1 + rng.next_u64() % 50);
+      for (auto& b : s[i].msg) b = static_cast<std::uint8_t>(rng.next_u64());
+      s[i].sig = Ed25519::sign(t.sk, s[i].msg);
+    }
+    const std::size_t forged = 1 + rng.next_u64() % 3;
+    for (std::size_t f = 0; f < forged; ++f) {
+      Signed& x = s[rng.next_u64() % n];
+      switch (rng.next_u64() % 3) {
+        case 0: x.sig[32 + rng.next_u64() % 31] ^= 0x04; break;  // S off by a bit
+        case 1: x.msg.push_back(0x5A); break;                     // message changed
+        default: {  // signed by a different key of the same batch
+          const TestSigner& other = signers[rng.next_u64() % signers.size()];
+          x.sig = Ed25519::sign(other.sk, x.msg);
+        }
+      }
+      ++forged_total;
+    }
+    expect_batch_agrees(s, keys, "round " + std::to_string(round));
+  }
+  EXPECT_GT(forged_total, 12u);
+}
+
+TEST(Ed25519Batch, NonCanonicalRSameVerdictAsScalar) {
+  // S = k*a makes S*B - k*A the identity. Encoded canonically as R that is
+  // a valid signature; encoded as y = 1 + p (non-canonical) scalar verify
+  // rejects it, because it compares bytes, so the batch must reject it too.
+  const TestSigner t = test_signer(9);
+  std::array<std::uint8_t, 32> r_canonical{};
+  r_canonical[0] = 0x01;
+  std::array<std::uint8_t, 32> r_noncanonical;
+  r_noncanonical.fill(0xFF);
+  r_noncanonical[0] = 0xEE;  // 2^255 - 19 + 1
+  r_noncanonical[31] = 0x7F;
+  std::array<std::uint8_t, 32> r_y0_noncanonical;  // y = 0 + p: a 4-torsion point
+  r_y0_noncanonical.fill(0xFF);
+  r_y0_noncanonical[0] = 0xED;
+  r_y0_noncanonical[31] = 0x7F;
+
+  std::vector<Signed> s = make_signed(6, 31);
+  std::vector<const Ed25519::VerifyKey*> keys(s.size(), nullptr);
+  std::vector<Ed25519::VerifyKey> owned;
+  owned.reserve(s.size() + 3);
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    owned.push_back(*Ed25519::prepare(s[i].pub));
+    keys[i] = &owned.back();
+  }
+  int expect_valid = 0;
+  for (const auto& r : {r_canonical, r_noncanonical, r_y0_noncanonical}) {
+    Signed x;
+    x.pub = t.vk.bytes;
+    x.msg = codec::to_bytes("identity nonce");
+    const U256 k = challenge(codec::ByteView(r.data(), r.size()), x.pub, x.msg);
+    const auto s_bytes = muladd_mod(k, t.sk.a, U256::zero(), kOrderL).to_bytes_le<32>();
+    std::copy(r.begin(), r.end(), x.sig.begin());
+    std::copy(s_bytes.begin(), s_bytes.end(), x.sig.begin() + 32);
+    expect_valid += Ed25519::verify(x.pub, x.msg, x.sig) ? 1 : 0;
+    s.push_back(x);
+    keys.push_back(&t.vk);
+  }
+  EXPECT_EQ(expect_valid, 1);  // only the canonical encoding verifies
+  expect_batch_agrees(s, keys, "non-canonical R");
+}
+
+TEST(Ed25519Batch, SmallOrderKeySameVerdictAsScalar) {
+  // Public keys of order 1, 2, 4 and 8. With R = S*B, scalar verify accepts
+  // exactly when k*A is the identity (k a multiple of A's order); the
+  // combined check would multiply A by (z*k mod L) instead, so it must
+  // leave such keys to scalar verification.
+  const std::vector<Ed25519::PublicKey> small = {
+      key_from_hex("0100000000000000000000000000000000000000000000000000000000000000"),
+      key_from_hex("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
+      key_from_hex("0000000000000000000000000000000000000000000000000000000000000000"),
+      key_from_hex("26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05"),
+  };
+  const std::vector<std::uint64_t> orders = {1, 2, 4, 8};
+  std::vector<Ed25519::VerifyKey> small_keys;
+  for (std::size_t i = 0; i < small.size(); ++i) {
+    const auto a = Ge::decompress(codec::ByteView(small[i].data(), small[i].size()));
+    ASSERT_TRUE(a.has_value()) << i;
+    EXPECT_TRUE(a->scalar_mul(U256::from_u64(orders[i])).is_identity()) << i;
+    if (orders[i] > 1) {
+      EXPECT_FALSE(a->scalar_mul(U256::from_u64(orders[i] / 2)).is_identity()) << i;
+    }
+    small_keys.push_back(*Ed25519::prepare(small[i]));
+    EXPECT_FALSE(small_keys.back().torsion_free && orders[i] > 1) << i;
+  }
+
+  sim::Rng rng(1212);
+  int scalar_valid = 0, scalar_invalid = 0;
+  for (int round = 0; round < 8; ++round) {
+    std::vector<Signed> s = make_signed(6, 500 + static_cast<std::uint64_t>(round));
+    std::vector<Ed25519::VerifyKey> owned;
+    owned.reserve(s.size());
+    std::vector<const Ed25519::VerifyKey*> keys;
+    for (const auto& x : s) {
+      owned.push_back(*Ed25519::prepare(x.pub));
+      keys.push_back(&owned.back());
+    }
+    for (int j = 0; j < 10; ++j) {
+      const std::size_t which = rng.next_u64() % small.size();
+      Signed x;
+      x.pub = small[which];
+      x.msg = codec::to_bytes("small order " + std::to_string(round) + "/" + std::to_string(j));
+      U256 sc = U256::from_u64(rng.next_u64());
+      sc.w[1] = rng.next_u64();
+      const auto r_enc = Ge::base_scalar_mul(sc).compress();
+      const auto s_enc = sc.to_bytes_le<32>();
+      std::copy(r_enc.begin(), r_enc.end(), x.sig.begin());
+      std::copy(s_enc.begin(), s_enc.end(), x.sig.begin() + 32);
+      (Ed25519::verify(x.pub, x.msg, x.sig) ? scalar_valid : scalar_invalid) += 1;
+      s.push_back(x);
+      keys.push_back(&small_keys[which]);
+    }
+    expect_batch_agrees(s, keys, "round " + std::to_string(round));
+  }
+  // Both verdicts occur, so agreement is tested in both directions.
+  EXPECT_GT(scalar_valid, 5);
+  EXPECT_GT(scalar_invalid, 5);
+}
+
+TEST(PkiBatch, ConcurrentSignVerifyAgree) {
+  // Prepared keys and the fixed-base tables are shared read-only across
+  // threads (the verify pool, node threads); run under TSan in CI.
+  Pki pki(99);
+  for (ProcessId id = 0; id < 8; ++id) pki.register_process(id);
+  std::vector<std::thread> threads;
+  std::vector<int> failures(4, 0);
+  for (std::size_t t = 0; t < failures.size(); ++t) {
+    threads.emplace_back([&pki, &failures, t] {
+      std::vector<codec::Bytes> msgs;
+      std::vector<Ed25519::Signature> sigs;
+      std::vector<Pki::SignedMessage> items;
+      for (ProcessId id = 0; id < 8; ++id) {
+        msgs.push_back(codec::to_bytes("thread " + std::to_string(t) + " id " + std::to_string(id)));
+      }
+      for (ProcessId id = 0; id < 8; ++id) sigs.push_back(pki.sign(id, msgs[id]));
+      sigs[3][40] ^= 0x01;
+      for (ProcessId id = 0; id < 8; ++id) {
+        items.push_back({id, msgs[id], &sigs[id]});
+        if (pki.verify(id, msgs[id], sigs[id]) != (id != 3)) ++failures[t];
+      }
+      const auto res = pki.verify_batch(items);
+      for (ProcessId id = 0; id < 8; ++id) {
+        if (res.valid[id] != (id != 3)) ++failures[t];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (std::size_t t = 0; t < failures.size(); ++t) EXPECT_EQ(failures[t], 0) << t;
 }
 
 // ---------------------------------------------------------------- Pki batch
