@@ -58,7 +58,7 @@ int main() {
   std::printf("  epochs agreed by f+1    : %llu\n",
               static_cast<unsigned long long>(view.epoch));
   std::printf("  in the consolidated set : %s\n",
-              view.the_set.contains(some_element) ? "yes" : "no");
+              view.contains(some_element) ? "yes" : "no");
   std::printf("  in epoch                : %llu\n",
               static_cast<unsigned long long>(verdict.epoch));
   std::printf("  valid proofs            : %zu from %zu servers (need f+1 = %u)\n",

@@ -134,10 +134,12 @@ int main(int argc, char** argv) {
   if (!have_first_seq) {
     const auto view0 = client.get();
     std::uint64_t next = 0;
-    for (const auto id : view0.the_set) {
-      if (core::element_client(id) != client_id) continue;
-      const std::uint64_t s = id & ((std::uint64_t{1} << 40) - 1);
-      if (s + 1 > next) next = s + 1;
+    for (const auto& rec : view0.history) {
+      for (const auto id : rec.ids) {
+        if (core::element_client(id) != client_id) continue;
+        const std::uint64_t s = id & ((std::uint64_t{1} << 40) - 1);
+        if (s + 1 > next) next = s + 1;
+      }
     }
     first_seq = static_cast<std::uint32_t>(next);
     if (first_seq != 0) {
@@ -169,7 +171,7 @@ int main(int argc, char** argv) {
   for (;;) {
     view = client.get();
     std::size_t present = 0;
-    for (const auto id : added) present += view.the_set.contains(id) ? 1 : 0;
+    for (const auto id : added) present += view.contains(id) ? 1 : 0;
     if (present == added.size()) break;
     if (std::chrono::steady_clock::now() > deadline) {
       std::fprintf(stderr,
@@ -181,8 +183,10 @@ int main(int argc, char** argv) {
     }
     std::this_thread::sleep_for(250ms);
   }
+  std::size_t consolidated = 0;
+  for (const auto& rec : view.history) consolidated += rec.ids.size();
   std::printf("quorum view: epoch %llu, %zu elements consolidated\n",
-              static_cast<unsigned long long>(view.epoch), view.the_set.size());
+              static_cast<unsigned long long>(view.epoch), consolidated);
 
   // Commit check: f+1 valid epoch-proofs from distinct signers, gathered
   // across all nodes' proof stores.

@@ -316,15 +316,11 @@ if [ -n "${LOADGEN_BIN}" ]; then
     NODE_ARGS+=(--node "${HOST}:$((PORT_BASE + i))")
   done
 
-  # --settle-s 60: after the 60 s load phase the trailing commitments still
-  # need to consolidate and be audited; on a loaded single-core runner each
-  # settle poll re-verifies a multi-thousand-epoch quorum view, so the default
-  # 20 s budget is flaky-tight here.
   sleep 1
   timeout --kill-after=10 200 \
     "$LOADGEN_BIN" "${NODE_ARGS[@]}" --algo "$ALGO" --ledger consensus \
     --seed "$SEED" --workload rollup --sessions 256 --rate 300 \
-    --duration-s 60 --settle-s 60 --check >"${LOG_DIR}/loadgen.json"
+    --duration-s 60 --check >"${LOG_DIR}/loadgen.json"
 
   # Graceful stop so every daemon prints its transport counters.
   for pid in "${PIDS[@]}"; do

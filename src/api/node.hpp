@@ -1,7 +1,8 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "core/element.hpp"
@@ -10,17 +11,24 @@
 
 namespace setchain::api {
 
-/// S.get_v(): (the_set, history, epoch, proofs) — views into one node's live
-/// state. Pointers stay valid only while the node is alive and unmodified;
-/// quorum-reading clients copy what they adopt.
+/// One read of S.get_v() from epoch `from` on: the node's epoch count, the
+/// prefix digest of its history at from-1, and its epoch records from
+/// `from` on. A quorum reader that already adopted epochs 1..from-1 checks
+/// the digest against its own chain (core::chain_digest) and ballots only
+/// the records, so a read costs O(new epochs) wherever the node lives.
 struct NodeSnapshot {
-  const std::unordered_set<core::ElementId>* the_set = nullptr;
-  const std::vector<core::EpochRecord>* history = nullptr;  ///< [i] = epoch i+1
-  std::uint64_t epoch = 0;
-  /// Raw per-epoch proof store, indexed epoch-1 like `history`. Prefer the
-  /// bounds-checked ISetchainNode::proofs_for_epoch() accessor, which owns
-  /// the index convention.
-  const std::vector<std::vector<core::EpochProof>>* proofs = nullptr;
+  std::uint64_t epoch = 0;  ///< epochs this node has consolidated
+  /// c_{from-1}. Zero for from == 1, and when the node is below from-1
+  /// (it then has no records to offer either).
+  core::PrefixDigest prefix_digest{};
+  /// Epochs from, from+1, ... in order, at most up to `epoch`. May stop
+  /// short of `epoch` (a remote node pages large reads): ask again from
+  /// the next epoch.
+  std::span<const core::EpochRecord> records;
+  /// Keeps `records` alive when the node had to copy them (remote stubs);
+  /// null for in-process servers, whose records are views into live
+  /// history, valid while the server is alive and unmodified.
+  std::shared_ptr<const void> owner;
 };
 
 /// The client-facing surface of one Setchain server — the datatype API the
@@ -48,12 +56,12 @@ class ISetchainNode {
   /// f+1 commit check exist for exactly that reason).
   virtual bool add(core::Element e) = 0;
 
-  /// S.get_v(). Untrusted: a Byzantine node may return anything, so a
-  /// client must reconcile snapshots across f+1 nodes before believing a
-  /// record (QuorumClient::get does). Down/unreachable nodes serve empty
-  /// views (null pointers, epoch 0). Remote stubs return views into their
-  /// own caches, valid until the next snapshot() call on the same stub.
-  virtual NodeSnapshot snapshot() const = 0;
+  /// S.get_v() from epoch `from_epoch` (1-based; a full read is 1).
+  /// Untrusted: a Byzantine node may return anything, so a client must
+  /// reconcile reads across f+1 nodes before believing a record
+  /// (QuorumClient::get does). Down/unreachable nodes serve an empty read
+  /// (epoch 0, no records).
+  virtual NodeSnapshot snapshot(std::uint64_t from_epoch) const = 0;
 
   /// Epoch-proofs this node holds for epoch `epoch_number` (1-based, the
   /// paper's numbering). Bounds-checked: epoch 0, an epoch this node has

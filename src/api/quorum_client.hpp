@@ -3,7 +3,8 @@
 #include <cstdint>
 #include <functional>
 #include <iterator>
-#include <unordered_set>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "api/node.hpp"
@@ -36,16 +37,20 @@ enum class NodeStatus : std::uint8_t {
 ///
 /// * `add(e)` is fanned out according to the WritePolicy, failing over past
 ///   nodes that refuse.
-/// * `get()` reconstructs the consolidated view epoch by epoch, adopting an
-///   epoch only when f+1 nodes report an identical (hash, contents) record —
-///   so at least one correct server vouches for it. Nodes contradicting an
-///   adopted quorum record are masked as equivocating from then on.
+/// * `get()` extends the client's adopted prefix epoch by epoch, adopting
+///   an epoch only when f+1 nodes report an identical (hash, contents)
+///   record — so at least one correct server vouches for it. Nodes are
+///   asked only for the epochs past the prefix, and must present the
+///   prefix's digest (core::chain_digest) with them; nodes contradicting
+///   the prefix or an adopted record are masked as equivocating from then
+///   on.
 /// * `verify(id)` commits an element only on f+1 valid epoch-proofs from
 ///   distinct signing servers, gathered across ALL nodes' proof stores — no
 ///   single server needs to hold (or can fake) the committing proof set.
 ///
-/// Nodes are accessed through ISetchainNode only: in-process servers today,
-/// remote stubs tomorrow, Byzantine wrappers in tests.
+/// Nodes are accessed through ISetchainNode only: in-process servers, remote
+/// stubs, Byzantine wrappers in tests. Not thread-safe: one thread drives a
+/// client (Views it returned may be read on any thread).
 class QuorumClient {
  public:
   struct Config {
@@ -73,23 +78,38 @@ class QuorumClient {
   /// ok==true is NOT commitment: that is verify()'s f+1-proof check.
   AddResult add(core::Element e);
 
+  struct Adopted;  // the adopted prefix: records, chain tip, id -> epoch index
+
   /// Client-side consolidated view: exactly the epochs with f+1 agreement.
+  /// Copying a View is O(1): it shares the client's adopted prefix, which
+  /// the client never changes while a View holds it (a later get() extends
+  /// a private copy instead), so a View stays valid and unchanged.
   struct View {
-    std::vector<core::EpochRecord> history;  ///< epochs 1..epoch, adopted copies
-    std::unordered_set<core::ElementId> the_set;  ///< union of history contents
-    std::uint64_t epoch = 0;         ///< last epoch with an f+1 quorum
-    std::size_t masked_nodes = 0;    ///< nodes currently masked as equivocating
+    std::span<const core::EpochRecord> history;  ///< epochs 1..epoch, adopted
+    std::uint64_t epoch = 0;       ///< last epoch with an f+1 quorum
+    std::size_t masked_nodes = 0;  ///< nodes currently masked as equivocating
+    /// Is `id` in one of this view's epochs (the paper's the_set, as far as
+    /// the quorum vouches for it)? O(1).
+    bool contains(core::ElementId id) const;
+
+   private:
+    friend class QuorumClient;
+    std::shared_ptr<const Adopted> adopted_;
   };
-  /// Quorum read: snapshots every non-masked node, then adopts epochs in
-  /// order while f+1 nodes report an IDENTICAL (hash, contents) record —
-  /// at most f are Byzantine, so each adopted record carries a correct
-  /// server's word. Stops at the first epoch without such a quorum (a
-  /// trailing epoch still consolidating is simply not visible yet). Nodes
-  /// contradicting an adopted record — or serving a structurally bogus
-  /// history — are masked as equivocating for the lifetime of this client;
-  /// down/unreachable nodes just don't vote and are NOT masked (they may
-  /// recover). With more than f nodes unreachable the view legitimately
-  /// shrinks to the epochs that still muster f+1.
+  /// Quorum read: asks every non-masked node for its epochs past the
+  /// adopted prefix, then adopts epochs in order while f+1 nodes report an
+  /// IDENTICAL (hash, contents) record — at most f are Byzantine, so each
+  /// adopted record carries a correct server's word. Stops at the first
+  /// epoch without such a quorum (a trailing epoch still consolidating is
+  /// simply not visible yet). A node whose read is paged is asked again
+  /// from the first epoch it left out once adoption reaches it, so one
+  /// get() adopts histories of any length. Nodes are masked as equivocating
+  /// for the lifetime of this client when their prefix digest differs from
+  /// the adopted prefix's (a rewrite at any depth), when they vote against
+  /// an adopted record, or when they serve a structurally bogus read.
+  /// Down, unreachable and lagging nodes (below the adopted prefix) just
+  /// don't vote and are NOT masked (they may recover). Adopted epochs are
+  /// never retracted, so the view only grows.
   View get();
 
   struct VerifyResult {
@@ -130,10 +150,18 @@ class QuorumClient {
   const Config& config() const { return cfg_; }
 
  private:
+  /// Ballot the epochs past the adopted prefix over each node's current
+  /// read (`reads[i]` starts at epoch `firsts[i]`), adopting while f+1
+  /// nodes agree and masking the nodes that contradict.
+  void adopt_agreed(const std::vector<NodeSnapshot>& reads,
+                    const std::vector<std::uint64_t>& firsts);
+  void adopt(const core::EpochRecord& rec);
+
   std::vector<ISetchainNode*> nodes_;
   const crypto::Pki* pki_;
   Config cfg_;
   std::vector<NodeStatus> status_;
+  std::shared_ptr<Adopted> adopted_;  ///< copied on write while a View holds it
 };
 
 /// Assemble a QuorumClient from an explicit node list — the one place that

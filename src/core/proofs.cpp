@@ -77,6 +77,19 @@ std::optional<Frame139> read_frame139(codec::Reader& r) {
 }
 }  // namespace
 
+PrefixDigest chain_digest(const PrefixDigest& prev, std::uint64_t number,
+                          const EpochHash& hash) {
+  std::array<std::uint8_t, 8> num;
+  for (std::size_t i = 0; i < num.size(); ++i) {
+    num[i] = static_cast<std::uint8_t>(number >> (8 * i));
+  }
+  crypto::Sha256 h;
+  h.update(prev);
+  h.update(num);
+  h.update(hash);
+  return h.finalize();
+}
+
 void serialize_epoch_proof(codec::Writer& w, const EpochProof& p) {
   write_frame139(w, kEpochProofTag, static_cast<std::uint32_t>(p.epoch),
                  static_cast<std::uint16_t>(p.server), p.epoch_hash, p.sig);

@@ -9,6 +9,7 @@
 #include "core/config.hpp"
 #include "core/element.hpp"
 #include "crypto/pki.hpp"
+#include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
 
 namespace setchain::core {
@@ -42,6 +43,14 @@ constexpr std::uint8_t kEpochProofTag = 0x02;
 EpochHash epoch_hash(std::uint64_t epoch,
                      const std::vector<std::pair<ElementId, std::uint64_t>>& id_digests,
                      Fidelity fidelity);
+
+/// Prefix digest of a history: a hash chain over its epochs, c_0 = 0 and
+/// c_i = SHA-256(c_{i-1} ‖ i as u64le ‖ hash_i). Equal digests at epoch k
+/// mean equal (number, hash) sequences 1..k, so a quorum reader that caches
+/// an adopted prefix checks a node against all of it in O(1).
+using PrefixDigest = crypto::Sha256::Digest;
+PrefixDigest chain_digest(const PrefixDigest& prev, std::uint64_t number,
+                          const EpochHash& hash);
 
 void serialize_epoch_proof(codec::Writer& w, const EpochProof& p);
 std::optional<EpochProof> parse_epoch_proof(codec::Reader& r);

@@ -11,6 +11,23 @@ SetchainServer::Snapshot SetchainServer::get() const {
   return Snapshot{&the_set_, &history_, epoch_, &proofs_};
 }
 
+api::NodeSnapshot SetchainServer::snapshot(std::uint64_t from_epoch) const {
+  api::NodeSnapshot out;
+  if (down_) return out;  // unreachable process serves nothing
+  const std::uint64_t start = std::max<std::uint64_t>(from_epoch, 1) - 1;
+  out.epoch = epoch_;
+  if (start > history_.size()) return out;  // below from-1: nothing to vouch for
+  if (start > 0) out.prefix_digest = chain_[start - 1];
+  out.records = std::span<const EpochRecord>(history_).subspan(start);
+  return out;
+}
+
+void SetchainServer::append_history(EpochRecord rec) {
+  chain_.push_back(chain_digest(chain_.empty() ? PrefixDigest{} : chain_.back(),
+                                rec.number, rec.hash));
+  history_.push_back(std::move(rec));
+}
+
 const std::vector<EpochProof>& SetchainServer::proofs_for_epoch(
     std::uint64_t epoch_number) const {
   static const std::vector<EpochProof> kNoProofs;
@@ -42,6 +59,7 @@ void SetchainServer::crash(bool wipe) {
     the_set_count_ = 0;
     history_members_.clear();
     history_.clear();
+    chain_.clear();
     proofs_.clear();
     proof_servers_.clear();
     epoch_ = 0;
@@ -117,7 +135,7 @@ EpochProof SetchainServer::consolidate(const std::vector<Element>& g,
     for (const auto& [id, _] : id_digests) rec.ids.push_back(id);
     for (const auto id : rec.ids) history_members_.insert(id);
   }
-  history_.push_back(std::move(rec));
+  append_history(std::move(rec));
   proofs_.emplace_back();
   proof_servers_.emplace_back();
 
@@ -233,6 +251,7 @@ bool SetchainServer::restore_state(codec::Reader& r) {
   the_set_count_ = 0;
   history_members_.clear();
   history_.clear();
+  chain_.clear();
   proofs_.clear();
   proof_servers_.clear();
   pending_proofs_.clear();
@@ -240,6 +259,7 @@ bool SetchainServer::restore_state(codec::Reader& r) {
   applied_height_ = *applied;
 
   history_.reserve(static_cast<std::size_t>(*history_count));
+  chain_.reserve(static_cast<std::size_t>(*history_count));
   for (std::uint64_t i = 0; i < *history_count; ++i) {
     EpochRecord rec;
     const auto number = r.varint();
@@ -271,7 +291,7 @@ bool SetchainServer::restore_state(codec::Reader& r) {
         if (the_set_.insert(id).second) ++the_set_count_;
       }
     }
-    history_.push_back(std::move(rec));
+    append_history(std::move(rec));
   }
   if (history_.size() != epoch_) return false;
 

@@ -74,11 +74,18 @@ class SetchainServer : public api::ISetchainNode {
   /// S.get_v(): (the_set, history, epoch, proofs) — views into live state.
   /// White-box accessor: always reflects the real state, even while down
   /// (invariant checkers inspect crashed servers through it).
-  using Snapshot = api::NodeSnapshot;
+  struct Snapshot {
+    const std::unordered_set<ElementId>* the_set = nullptr;
+    const std::vector<EpochRecord>* history = nullptr;  ///< [i] = epoch i+1
+    std::uint64_t epoch = 0;
+    /// Raw per-epoch proof store, indexed epoch-1 like `history`.
+    const std::vector<std::vector<EpochProof>>* proofs = nullptr;
+  };
   Snapshot get() const;
-  /// Client-facing read: a down server serves nothing (null views), exactly
-  /// like an unreachable process.
-  Snapshot snapshot() const override { return down_ ? Snapshot{} : get(); }
+  /// Client-facing read from `from_epoch` on: a view into history plus the
+  /// prefix digest at from_epoch-1. A down server serves nothing (epoch 0,
+  /// no records), exactly like an unreachable process.
+  api::NodeSnapshot snapshot(std::uint64_t from_epoch) const override;
 
   /// Epoch-proofs held locally for 1-based epoch `epoch_number`;
   /// bounds-checked (epoch 0 / not-yet-consolidated epochs yield an empty
@@ -153,6 +160,8 @@ class SetchainServer : public api::ISetchainNode {
   /// counter is kept (workload ids are unique by construction).
   bool the_set_insert(ElementId id);
   bool in_history(ElementId id) const;
+  /// Append epoch `rec` to history_ and extend the prefix-digest chain.
+  void append_history(EpochRecord rec);
 
   /// Filter a batch's elements down to the valid, not-yet-epoch'd ones
   /// (dedup within the input too): the G of the pseudocode. Signature
@@ -211,6 +220,7 @@ class SetchainServer : public api::ISetchainNode {
   std::uint64_t the_set_count_ = 0;
   std::unordered_set<ElementId> history_members_;
   std::vector<EpochRecord> history_;                ///< [i] = epoch i+1
+  std::vector<PrefixDigest> chain_;                 ///< [i] = c_{i+1}
   std::vector<std::vector<EpochProof>> proofs_;     ///< by epoch
   std::vector<std::unordered_set<crypto::ProcessId>> proof_servers_;
   std::uint64_t epoch_ = 0;

@@ -411,38 +411,28 @@ void NodeHost::handle_add(EndpointId from, const wire::AddRequest& m) {
 
 void NodeHost::handle_snapshot(EndpointId from, const wire::SnapshotRequest& m) {
   ++rpcs_served_;
+  const api::NodeSnapshot snap = server_->snapshot(m.from_epoch);
   wire::SnapshotResponse resp;
   resp.req_id = m.req_id;
-  const api::NodeSnapshot snap = server_->snapshot();
+  resp.epoch = snap.epoch;
+  resp.from_epoch = m.from_epoch;
+  resp.prefix_digest = snap.prefix_digest;
 
-  // The response must fit one frame (wire::kMaxPayloadBytes). A node whose
-  // state outgrew the budget serves a consistent PREFIX of its history —
-  // epochs 1..k with the epoch field lowered to k — which clients already
-  // handle: it is exactly what an honest-but-lagging node looks like, and
-  // quorum reads only ever adopt agreed prefixes. the_set is advisory
-  // (quorum logic derives its set from history) and is truncated last.
-  // Worst-case per-entry costs: record header 3 varints + 64-byte hash,
-  // ids/the_set entries one varint delta (<= 10 bytes) each.
+  // The response must fit one frame (wire::kMaxPayloadBytes), so records
+  // go out in pages under a 6 MiB budget; epoch stays the node's own, and
+  // the client asks again from the first epoch a page left out. A page
+  // carries at least one record, so paging always progresses (an epoch is
+  // bounded by one ledger block, far below the budget). Worst-case
+  // per-entry costs: record header 2 varints + 64-byte hash, one varint
+  // delta (<= 10 bytes) per id.
   constexpr std::size_t kBudget = 6u << 20;
   constexpr std::size_t kPerRecord = 96;
   constexpr std::size_t kPerId = 10;
   std::size_t used = 0;
-  resp.epoch = 0;
-  if (snap.history != nullptr) {
-    for (const auto& rec : *snap.history) {
-      const std::size_t cost = kPerRecord + kPerId * rec.ids.size();
-      if (used + cost > kBudget) break;
-      used += cost;
-      resp.history.push_back(rec);
-      resp.epoch = rec.number;
-    }
-    if (resp.history.size() == snap.history->size()) resp.epoch = snap.epoch;
-  }
-  if (snap.the_set != nullptr) {
-    resp.the_set.assign(snap.the_set->begin(), snap.the_set->end());
-    std::sort(resp.the_set.begin(), resp.the_set.end());
-    const std::size_t fit = (kBudget - std::min(used, kBudget)) / kPerId;
-    if (resp.the_set.size() > fit) resp.the_set.resize(fit);
+  for (const auto& rec : snap.records) {
+    used += kPerRecord + kPerId * rec.ids.size();
+    if (used > kBudget && !resp.records.empty()) break;
+    resp.records.push_back(rec);
   }
   transport_.send(from, wire::MsgType::kSnapshotResponse,
                   wire::encode_snapshot_response(resp));

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <limits>
@@ -218,23 +219,22 @@ bool RemoteNode::add(core::Element e) {
   return resp && resp->req_id == req.req_id && resp->accepted;
 }
 
-api::NodeSnapshot RemoteNode::snapshot() const {
-  const wire::SnapshotRequest req{next_req_++};
+api::NodeSnapshot RemoteNode::snapshot(std::uint64_t from_epoch) const {
+  const wire::SnapshotRequest req{next_req_++, std::max<std::uint64_t>(from_epoch, 1)};
   const auto f =
       call(wire::MsgType::kSnapshotRequest, wire::encode_snapshot_request(req));
   if (!f || f->type != wire::MsgType::kSnapshotResponse) return {};
   auto resp = wire::parse_snapshot_response(f->payload);
-  if (!resp || resp->req_id != req.req_id) return {};
-
-  history_cache_ = std::move(resp->history);
-  the_set_cache_.clear();
-  the_set_cache_.insert(resp->the_set.begin(), resp->the_set.end());
-
+  if (!resp || resp->req_id != req.req_id || resp->from_epoch != req.from_epoch) {
+    return {};
+  }
+  auto records =
+      std::make_shared<const std::vector<core::EpochRecord>>(std::move(resp->records));
   api::NodeSnapshot snap;
-  snap.the_set = &the_set_cache_;
-  snap.history = &history_cache_;
   snap.epoch = resp->epoch;
-  snap.proofs = nullptr;  // remote clients use proofs_for_epoch()
+  snap.prefix_digest = resp->prefix_digest;
+  snap.records = *records;
+  snap.owner = std::move(records);
   return snap;
 }
 

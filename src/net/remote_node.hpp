@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_set>
 
 #include "api/node.hpp"
 #include "net/loopback.hpp"
@@ -83,19 +82,19 @@ class LoopbackRpcChannel final : public IRpcChannel {
 /// QuorumClient (and everything else written against the node interface)
 /// talk to a live cluster unchanged.
 ///
-/// Lifetimes: snapshot() returns views into caches owned by this stub,
-/// valid until the NEXT snapshot() call (remote state is copied, exactly
-/// what the interface contract demands of quorum readers). A node that
-/// fails to answer within the RPC timeout serves the same empty
-/// views/refusals a crashed in-process server does — unreachable and down
-/// are indistinguishable to a client, as in the paper's model.
+/// Stateless apart from RPC bookkeeping: snapshot(from) is one RPC, and the
+/// records it returns are owned by the snapshot itself (one page of a
+/// large read; QuorumClient asks for the next). A node that fails to
+/// answer within the RPC timeout serves the same empty reads/refusals a
+/// crashed in-process server does — unreachable and down are
+/// indistinguishable to a client, as in the paper's model.
 class RemoteNode final : public api::ISetchainNode {
  public:
   RemoteNode(std::unique_ptr<IRpcChannel> channel, crypto::ProcessId node_id,
              std::chrono::milliseconds rpc_timeout = std::chrono::milliseconds(2000));
 
   bool add(core::Element e) override;
-  api::NodeSnapshot snapshot() const override;
+  api::NodeSnapshot snapshot(std::uint64_t from_epoch) const override;
   const std::vector<core::EpochProof>& proofs_for_epoch(
       std::uint64_t epoch_number) const override;
   std::uint64_t epoch() const override;
@@ -110,11 +109,10 @@ class RemoteNode final : public api::ISetchainNode {
   crypto::ProcessId node_id_;
   std::chrono::milliseconds timeout_;
 
-  // RPC bookkeeping + response caches (mutable: reads are RPCs).
+  // RPC bookkeeping (mutable: reads are RPCs). proofs_for_epoch returns a
+  // reference, so the proofs it fetched live here.
   mutable std::uint64_t next_req_ = 1;
   mutable std::uint64_t failures_ = 0;
-  mutable std::unordered_set<core::ElementId> the_set_cache_;
-  mutable std::vector<core::EpochRecord> history_cache_;
   mutable std::map<std::uint64_t, std::vector<core::EpochProof>> proofs_cache_;
 };
 

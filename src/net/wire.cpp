@@ -161,15 +161,19 @@ std::uint64_t cluster_id(std::uint64_t seed, std::uint32_t n, std::uint32_t f,
   s ^= (static_cast<std::uint64_t>(n) << 32) | (static_cast<std::uint64_t>(f) << 8) |
        algorithm;
   v ^= sim::splitmix64(s);
-  // Folded as an extra mixing stage so mode-0 (fixed sequencer) ids are
-  // byte-identical to the historical four-parameter derivation. The dialect
-  // revision rides in the same stage: a consensus binary speaking an older
-  // frame layout derives a different id and is refused at Hello.
+  // Folded as an extra mixing stage, applied only to non-zero modes. The
+  // consensus dialect revision rides in the same stage: a consensus binary
+  // speaking an older frame layout derives a different id and is refused
+  // at Hello.
   if (ledger_mode != 0) {
     s ^= static_cast<std::uint64_t>(ledger_mode) << 16;
     s ^= static_cast<std::uint64_t>(kConsensusWireRevision) << 24;
     v ^= sim::splitmix64(s);
   }
+  // Every mode: a client speaking an older client-RPC layout is refused at
+  // Hello instead of mis-parsing snapshot frames.
+  s ^= static_cast<std::uint64_t>(kClientRpcRevision) << 40;
+  v ^= sim::splitmix64(s);
   return v;
 }
 
@@ -230,10 +234,10 @@ bool get_sorted_ids(codec::Reader& r, std::vector<core::ElementId>& out,
 constexpr std::size_t kMaxListCount = kMaxPayloadBytes;
 
 /// Minimum encoded sizes (bytes) of the variable-count entries, for
-/// reserve_bound(): an epoch record is 3 varints + 64-byte hash + id list,
+/// reserve_bound(): an epoch record is 2 varints + 64-byte hash + id list,
 /// an epoch-proof entry is tag + 138 fixed bytes, a transaction is
 /// kind + wire_size varint + lp_bytes.
-constexpr std::size_t kMinEpochRecordBytes = 68;
+constexpr std::size_t kMinEpochRecordBytes = 67;
 constexpr std::size_t kMinProofEntryBytes = 100;
 constexpr std::size_t kMinTxBytes = 3;
 
@@ -298,26 +302,28 @@ std::optional<AddResponse> parse_add_response(codec::ByteView payload) {
 
 codec::Bytes encode_snapshot_request(const SnapshotRequest& m) {
   codec::Writer w;
-  w.varint(m.req_id);
+  w.varint(m.req_id).varint(m.from_epoch);
   return w.take();
 }
 
 std::optional<SnapshotRequest> parse_snapshot_request(codec::ByteView payload) {
   codec::Reader r(payload);
   const auto req = r.varint();
-  if (!req) return std::nullopt;
-  return finish(r, SnapshotRequest{*req});
+  const auto from = r.varint();
+  if (!req || !from || *from == 0) return std::nullopt;
+  return finish(r, SnapshotRequest{*req, *from});
 }
 
 codec::Bytes encode_snapshot_response(const SnapshotResponse& m) {
   codec::Writer w;
-  w.varint(m.req_id).varint(m.epoch).varint(m.history.size());
-  for (const auto& rec : m.history) {
-    w.varint(rec.number).varint(rec.count).varint(rec.bytes);
+  w.varint(m.req_id).varint(m.epoch).varint(m.from_epoch);
+  w.bytes(codec::ByteView(m.prefix_digest.data(), m.prefix_digest.size()));
+  w.varint(m.records.size());
+  for (const auto& rec : m.records) {
+    w.varint(rec.count).varint(rec.bytes);
     w.bytes(codec::ByteView(rec.hash.data(), rec.hash.size()));
     put_sorted_ids(w, rec.ids);
   }
-  put_sorted_ids(w, m.the_set);
   return w.take();
 }
 
@@ -326,27 +332,34 @@ std::optional<SnapshotResponse> parse_snapshot_response(codec::ByteView payload)
   SnapshotResponse m;
   const auto req = r.varint();
   const auto epoch = r.varint();
-  const auto hist = r.varint();
-  if (!req || !epoch || !hist || *hist > kMaxListCount) return std::nullopt;
+  const auto from = r.varint();
+  if (!req || !epoch || !from || *from == 0) return std::nullopt;
+  const auto digest = r.bytes(m.prefix_digest.size());
+  const auto count = r.varint();
+  if (!digest || !count) return std::nullopt;
+  // Records are epochs from, from+1, ... and never run past the node's own
+  // epoch (which also rules out number overflow).
+  const std::uint64_t room = *epoch >= *from - 1 ? *epoch - (*from - 1) : 0;
+  if (*count > room || *count > kMaxListCount) return std::nullopt;
   m.req_id = *req;
   m.epoch = *epoch;
-  m.history.reserve(reserve_bound(r, *hist, kMinEpochRecordBytes));
-  for (std::uint64_t i = 0; i < *hist; ++i) {
+  m.from_epoch = *from;
+  std::copy(digest->begin(), digest->end(), m.prefix_digest.begin());
+  m.records.reserve(reserve_bound(r, *count, kMinEpochRecordBytes));
+  for (std::uint64_t i = 0; i < *count; ++i) {
     core::EpochRecord rec;
-    const auto number = r.varint();
-    const auto count = r.varint();
+    const auto n = r.varint();
     const auto bytes = r.varint();
-    if (!number || !count || !bytes) return std::nullopt;
+    if (!n || !bytes) return std::nullopt;
     const auto hash = r.bytes(rec.hash.size());
     if (!hash) return std::nullopt;
-    rec.number = *number;
-    rec.count = *count;
+    rec.number = *from + i;
+    rec.count = *n;
     rec.bytes = *bytes;
     std::copy(hash->begin(), hash->end(), rec.hash.begin());
     if (!get_sorted_ids(r, rec.ids, kMaxListCount)) return std::nullopt;
-    m.history.push_back(std::move(rec));
+    m.records.push_back(std::move(rec));
   }
-  if (!get_sorted_ids(r, m.the_set, kMaxListCount)) return std::nullopt;
   return finish(r, std::move(m));
 }
 

@@ -157,15 +157,20 @@ class FrameReader {
 /// consensus frames (Ed25519 over domain-separated transcripts).
 inline constexpr std::uint8_t kConsensusWireRevision = 2;
 
+/// Client RPC revision, mixed into cluster_id() for every ledger mode so a
+/// client speaking an older snapshot layout is refused at Hello.
+/// Revision 2 = ranged snapshot reads (from_epoch, prefix digest, pages).
+inline constexpr std::uint8_t kClientRpcRevision = 2;
+
 /// Identifies a cluster instance: every process derives the same value from
 /// the shared (seed, n, f, algorithm, ledger_mode) deployment parameters, so
 /// a daemon refuses peers/clients configured for a different cluster.
 /// `ledger_mode` folds the ordering layer in (0 = fixed sequencer, the
-/// historical value — ids for mode 0 are unchanged from v1 four-parameter
-/// derivations): a consensus-mode daemon and a sequencer-mode daemon can
+/// default): a consensus-mode daemon and a sequencer-mode daemon can
 /// never join one cluster and deadlock on each other's ledger traffic.
-/// Non-zero modes additionally mix kConsensusWireRevision, so binaries
-/// speaking different consensus dialects split into disjoint clusters.
+/// Non-zero modes additionally mix kConsensusWireRevision, and every mode
+/// mixes kClientRpcRevision, so binaries speaking different dialects split
+/// into disjoint clusters.
 std::uint64_t cluster_id(std::uint64_t seed, std::uint32_t n, std::uint32_t f,
                          std::uint8_t algorithm, std::uint8_t ledger_mode = 0);
 
@@ -198,28 +203,34 @@ struct AddResponse {
 codec::Bytes encode_add_response(const AddResponse& m);
 std::optional<AddResponse> parse_add_response(codec::ByteView payload);
 
-/// kSnapshotRequest / kProofsRequest / kEpochRequest share one shape:
-/// req_id varint [, epoch varint for kProofsRequest].
+/// kSnapshotRequest: req_id varint, from_epoch varint (>= 1; a full read is
+/// 1) — "send me your epochs from from_epoch on".
 struct SnapshotRequest {
   std::uint64_t req_id = 0;
+  std::uint64_t from_epoch = 1;
 };
 codec::Bytes encode_snapshot_request(const SnapshotRequest& m);
 std::optional<SnapshotRequest> parse_snapshot_request(codec::ByteView payload);
 
-/// kSnapshotResponse: req_id varint, epoch varint, history count varint,
-/// records (number varint, count varint, bytes varint, hash 64 raw, id
-/// count varint, ids as sorted varint deltas), the_set count varint + ids
-/// as sorted varint deltas. Delta coding: first id absolute, each later id
-/// stored as (id - previous id); ids are strictly increasing.
+/// kSnapshotResponse: req_id varint, epoch varint, from_epoch varint (>= 1,
+/// echoes the request), prefix digest 32 raw (core::chain_digest chain at
+/// from_epoch-1), record count varint, records. Record k is epoch
+/// from_epoch+k, its number implied: count varint, bytes varint, hash 64
+/// raw, id count varint, ids as sorted varint deltas (first id absolute,
+/// each later id stored as id - previous id; strictly increasing). Records
+/// never run past `epoch`. A node pages: the records may stop short of
+/// `epoch`, and the client asks again from the next epoch.
 struct SnapshotResponse {
   std::uint64_t req_id = 0;
   std::uint64_t epoch = 0;
-  std::vector<core::EpochRecord> history;
-  std::vector<core::ElementId> the_set;  ///< sorted ascending
+  std::uint64_t from_epoch = 1;
+  core::PrefixDigest prefix_digest{};
+  std::vector<core::EpochRecord> records;  ///< epochs from_epoch, from_epoch+1, ...
 };
 codec::Bytes encode_snapshot_response(const SnapshotResponse& m);
 std::optional<SnapshotResponse> parse_snapshot_response(codec::ByteView payload);
 
+/// kProofsRequest: req_id varint, epoch varint. kEpochRequest: req_id varint.
 struct ProofsRequest {
   std::uint64_t req_id = 0;
   std::uint64_t epoch = 0;

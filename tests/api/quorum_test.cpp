@@ -22,23 +22,22 @@ using core::testing::AlgoHarness;
 // can stand in for a lying server without touching server internals — the
 // same seam a remote transport stub will use.
 
-/// Returns a doctored snapshot: content hashes flipped and ids perturbed
-/// (a server lying about what the epochs contain).
+/// Returns doctored reads: content hashes flipped and ids perturbed (a
+/// server lying about what the epochs contain).
 class EquivocatingNode final : public api::ISetchainNode {
  public:
   explicit EquivocatingNode(core::SetchainServer& real) : real_(real) {}
 
   bool add(core::Element e) override { return real_.add(std::move(e)); }
 
-  api::NodeSnapshot snapshot() const override {
-    const auto s = real_.get();
-    fake_history_ = *s.history;
-    for (auto& rec : fake_history_) {
+  api::NodeSnapshot snapshot(std::uint64_t from) const override {
+    api::NodeSnapshot out = real_.snapshot(from);
+    fake_records_.assign(out.records.begin(), out.records.end());
+    for (auto& rec : fake_records_) {
       rec.hash[0] ^= 0xFF;
       if (!rec.ids.empty()) rec.ids.front() ^= 0x1;
     }
-    api::NodeSnapshot out = s;
-    out.history = &fake_history_;
+    out.records = fake_records_;
     return out;
   }
 
@@ -51,22 +50,22 @@ class EquivocatingNode final : public api::ISetchainNode {
 
  private:
   core::SetchainServer& real_;
-  mutable std::vector<core::EpochRecord> fake_history_;
+  mutable std::vector<core::EpochRecord> fake_records_;
 };
 
-/// Returns a structurally bogus history: record i claims to be epoch i+2.
+/// Returns structurally bogus reads: the record for epoch i claims to be
+/// epoch i+1.
 class WrongNumberNode final : public api::ISetchainNode {
  public:
   explicit WrongNumberNode(core::SetchainServer& real) : real_(real) {}
 
   bool add(core::Element e) override { return real_.add(std::move(e)); }
 
-  api::NodeSnapshot snapshot() const override {
-    const auto s = real_.get();
-    fake_history_ = *s.history;
-    for (auto& rec : fake_history_) rec.number += 1;
-    api::NodeSnapshot out = s;
-    out.history = &fake_history_;
+  api::NodeSnapshot snapshot(std::uint64_t from) const override {
+    api::NodeSnapshot out = real_.snapshot(from);
+    fake_records_.assign(out.records.begin(), out.records.end());
+    for (auto& rec : fake_records_) rec.number += 1;
+    out.records = fake_records_;
     return out;
   }
 
@@ -79,7 +78,111 @@ class WrongNumberNode final : public api::ISetchainNode {
 
  private:
   core::SetchainServer& real_;
-  mutable std::vector<core::EpochRecord> fake_history_;
+  mutable std::vector<core::EpochRecord> fake_records_;
+};
+
+/// Honest until `rewrite` is set, then rewrites that (1-based) epoch of
+/// its history and serves everything, prefix digests included, as derived
+/// from the rewritten history — a node lying consistently about an epoch
+/// a client may already have adopted.
+class RewritingNode final : public api::ISetchainNode {
+ public:
+  explicit RewritingNode(core::SetchainServer& real) : real_(real) {}
+
+  std::uint64_t rewrite = 0;  ///< epoch to rewrite; 0 = honest
+
+  bool add(core::Element e) override { return real_.add(std::move(e)); }
+
+  api::NodeSnapshot snapshot(std::uint64_t from) const override {
+    api::NodeSnapshot out = real_.snapshot(from);
+    if (rewrite == 0 || out.epoch < rewrite) return out;
+    history_ = *real_.get().history;
+    history_[rewrite - 1].hash[0] ^= 0xFF;
+    core::PrefixDigest c{};
+    for (std::uint64_t k = 1; k < from && k <= history_.size(); ++k) {
+      c = core::chain_digest(c, k, history_[k - 1].hash);
+    }
+    if (from - 1 <= out.epoch) {
+      out.prefix_digest = c;
+      out.records = std::span<const core::EpochRecord>(history_).subspan(from - 1);
+    }
+    return out;
+  }
+
+  const std::vector<core::EpochProof>& proofs_for_epoch(
+      std::uint64_t e) const override {
+    return real_.proofs_for_epoch(e);
+  }
+  std::uint64_t epoch() const override { return real_.epoch(); }
+  crypto::ProcessId node_id() const override { return real_.node_id(); }
+
+ private:
+  core::SetchainServer& real_;
+  mutable std::vector<core::EpochRecord> history_;
+};
+
+/// An honest node seen through a narrow pipe: every read carries at most
+/// `page` records, as a remote node pages a large history, and reads are
+/// counted.
+class PagingNode final : public api::ISetchainNode {
+ public:
+  PagingNode(core::SetchainServer& real, std::size_t page) : real_(real), page_(page) {}
+
+  bool add(core::Element e) override { return real_.add(std::move(e)); }
+
+  api::NodeSnapshot snapshot(std::uint64_t from) const override {
+    ++reads;
+    api::NodeSnapshot out = real_.snapshot(from);
+    out.records = out.records.first(std::min(out.records.size(), page_));
+    return out;
+  }
+
+  const std::vector<core::EpochProof>& proofs_for_epoch(
+      std::uint64_t e) const override {
+    return real_.proofs_for_epoch(e);
+  }
+  std::uint64_t epoch() const override { return real_.epoch(); }
+  crypto::ProcessId node_id() const override { return real_.node_id(); }
+
+  mutable std::size_t reads = 0;
+
+ private:
+  core::SetchainServer& real_;
+  std::size_t page_;
+};
+
+/// An honest node that has consolidated only its first `epochs` epochs:
+/// reads are the real server's, cut off there.
+class LaggingNode final : public api::ISetchainNode {
+ public:
+  LaggingNode(core::SetchainServer& real, std::uint64_t epochs)
+      : real_(real), epochs_(epochs) {}
+
+  bool add(core::Element e) override { return real_.add(std::move(e)); }
+
+  api::NodeSnapshot snapshot(std::uint64_t from) const override {
+    if (epochs_ + 1 < from) {
+      api::NodeSnapshot out;
+      out.epoch = epochs_;
+      return out;
+    }
+    api::NodeSnapshot out = real_.snapshot(from);
+    out.epoch = epochs_;
+    out.records = out.records.first(std::min<std::size_t>(out.records.size(), epochs_ + 1 - from));
+    return out;
+  }
+
+  const std::vector<core::EpochProof>& proofs_for_epoch(
+      std::uint64_t e) const override {
+    return e <= epochs_ ? real_.proofs_for_epoch(e) : kNone;
+  }
+  std::uint64_t epoch() const override { return epochs_; }
+  crypto::ProcessId node_id() const override { return real_.node_id(); }
+
+ private:
+  static inline const std::vector<core::EpochProof> kNone;
+  core::SetchainServer& real_;
+  std::uint64_t epochs_;
 };
 
 /// Serves reads truthfully but only reveals the epoch-proofs signed by its
@@ -90,7 +193,9 @@ class ProofSliceNode final : public api::ISetchainNode {
   explicit ProofSliceNode(core::SetchainServer& real) : real_(real) {}
 
   bool add(core::Element e) override { return real_.add(std::move(e)); }
-  api::NodeSnapshot snapshot() const override { return real_.get(); }
+  api::NodeSnapshot snapshot(std::uint64_t from) const override {
+    return real_.snapshot(from);
+  }
 
   const std::vector<core::EpochProof>& proofs_for_epoch(
       std::uint64_t e) const override {
@@ -114,7 +219,9 @@ class RefusingNode final : public api::ISetchainNode {
   explicit RefusingNode(core::SetchainServer& real) : real_(real) {}
 
   bool add(core::Element) override { return false; }
-  api::NodeSnapshot snapshot() const override { return real_.get(); }
+  api::NodeSnapshot snapshot(std::uint64_t from) const override {
+    return real_.snapshot(from);
+  }
   const std::vector<core::EpochProof>& proofs_for_epoch(
       std::uint64_t e) const override {
     return real_.proofs_for_epoch(e);
@@ -283,7 +390,7 @@ TEST_F(EquivocationSuite, GetOutvotesEquivocatingServers) {
     EXPECT_EQ(view.history[i].ids, (*truth.history)[i].ids);
     EXPECT_EQ(view.history[i].hash, (*truth.history)[i].hash);
   }
-  for (const auto id : accepted) EXPECT_TRUE(view.the_set.contains(id));
+  for (const auto id : accepted) EXPECT_TRUE(view.contains(id));
 
   // All three liars are masked; the correct seven are not.
   EXPECT_EQ(view.masked_nodes, 3u);
@@ -365,6 +472,156 @@ TEST(QuorumVerify, WaitCommittedPumpsUntilProofsLand) {
   EXPECT_GE(v.valid_proofs, h.params.f + 1);
 }
 
+// ------------------------------------------------------- incremental reads
+//
+// get() asks nodes only for the epochs past the adopted prefix, and checks
+// the prefix through its digest chain instead of re-reading it.
+
+/// Compresschain cluster with `rounds` sealed epochs' worth of elements.
+struct ReadHarness {
+  AlgoHarness<core::CompresschainServer> h{4, 4};
+  std::uint64_t seq = 0;
+
+  explicit ReadHarness(int rounds) { grow(rounds); }
+
+  /// Add four elements through server 0 and seal, `rounds` times.
+  void grow(int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      for (int i = 0; i < 4; ++i) EXPECT_TRUE(h.servers[0]->add(h.make_element(0, ++seq)));
+      h.seal_rounds();
+    }
+  }
+};
+
+TEST(QuorumIncrementalRead, RewriteOfAnAdoptedEpochIsMaskedAtAnyDepth) {
+  for (const bool deep : {false, true}) {
+    SCOPED_TRACE(deep ? "deep rewrite (epoch 1)" : "depth-1 rewrite (last epoch)");
+    ReadHarness r(4);
+    RewritingNode liar(*r.h.servers[3]);
+    auto nodes = real_nodes(r.h);
+    nodes[3] = &liar;
+    auto client = make_client(r.h, nodes);
+    const std::uint64_t adopted = client.get().epoch;
+    ASSERT_GE(adopted, 4u);
+    EXPECT_EQ(client.node_status(3), api::NodeStatus::kOk);
+
+    // The liar rewrites an adopted epoch; the cluster moves on meanwhile.
+    liar.rewrite = deep ? 1 : adopted;
+    r.grow(2);
+    const auto view = client.get();
+    EXPECT_EQ(client.node_status(3), api::NodeStatus::kEquivocating);
+    EXPECT_EQ(view.masked_nodes, 1u);
+    EXPECT_GT(view.epoch, adopted);  // the three honest nodes carry on
+    EXPECT_EQ(view.epoch, r.h.servers[0]->get().epoch);
+  }
+}
+
+TEST(QuorumIncrementalRead, AdoptedEpochsSurviveEveryNodeRewritingThemAlike) {
+  ReadHarness r(3);
+  std::vector<std::unique_ptr<RewritingNode>> liars;
+  std::vector<api::ISetchainNode*> nodes;
+  for (auto& s : r.h.servers) {
+    liars.push_back(std::make_unique<RewritingNode>(*s));
+    nodes.push_back(liars.back().get());
+  }
+  auto client = make_client(r.h, nodes);
+  const auto before = client.get();
+  ASSERT_GE(before.epoch, 3u);
+  const core::EpochHash adopted_hash = before.history[1].hash;
+
+  // All n nodes rewrite epoch 2 identically: no quorum can retract an
+  // adopted epoch, so every node is masked and the view keeps its prefix.
+  for (auto& l : liars) l->rewrite = 2;
+  const auto after = client.get();
+  EXPECT_EQ(after.masked_nodes, 4u);
+  EXPECT_EQ(after.epoch, before.epoch);
+  EXPECT_EQ(after.history[1].hash, adopted_hash);
+  EXPECT_EQ(before.history[1].hash, adopted_hash);  // held views never change
+}
+
+TEST(QuorumIncrementalRead, LaggingAndPagedNodesAreNotMasked) {
+  ReadHarness r(5);
+  const std::uint64_t epochs = r.h.servers[0]->get().epoch;
+  ASSERT_GE(epochs, 5u);
+  PagingNode pager0(*r.h.servers[0], 1);
+  PagingNode pager1(*r.h.servers[1], 1);
+  LaggingNode lagger(*r.h.servers[2], 1);
+  auto client = make_client(r.h, {&pager0, &pager1, &lagger, r.h.servers[3].get()});
+
+  // One get() follows the one-record pages to the end of the history.
+  const auto view = client.get();
+  EXPECT_EQ(view.epoch, epochs);
+  EXPECT_EQ(view.masked_nodes, 0u);
+  EXPECT_EQ(pager0.reads, epochs);
+  EXPECT_EQ(pager1.reads, epochs);
+
+  // Next read starts past the prefix: the lagging node sits below it.
+  r.grow(1);
+  const auto next = client.get();
+  EXPECT_EQ(next.epoch, r.h.servers[0]->get().epoch);
+  EXPECT_GT(next.epoch, epochs);
+  EXPECT_EQ(next.masked_nodes, 0u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(client.node_status(i), api::NodeStatus::kOk) << i;
+  }
+  for (std::size_t i = 0; i < view.history.size(); ++i) {
+    EXPECT_EQ(next.history[i].hash, view.history[i].hash) << i;
+  }
+}
+
+TEST(QuorumIncrementalRead, NodeRecoveringFromAWipeIsNotMaskedAndVotesAgain) {
+  ReadHarness r(4);
+  auto client = make_client(r.h, real_nodes(r.h));
+  const std::uint64_t adopted = client.get().epoch;
+  ASSERT_GE(adopted, 4u);
+
+  // Down and wiped: serves nothing, then restarts empty (below the prefix).
+  auto& node = *r.h.servers[3];
+  node.crash(/*wipe=*/true);
+  EXPECT_EQ(client.get().masked_nodes, 0u);
+  node.restart();
+  EXPECT_EQ(client.get().masked_nodes, 0u);
+
+  // Replaying the ledger rebuilds the same history, hence the same chain.
+  const std::uint64_t height = r.h.ledger.height();
+  for (std::uint64_t b = 1; b <= height / 2; ++b) node.on_new_block(r.h.ledger.block_at(b));
+  ASSERT_LT(node.get().epoch, adopted);
+  EXPECT_EQ(client.get().masked_nodes, 0u);
+  for (std::uint64_t b = height / 2 + 1; b <= height; ++b) {
+    node.on_new_block(r.h.ledger.block_at(b));
+  }
+  ASSERT_EQ(node.get().epoch, r.h.servers[0]->get().epoch);
+
+  // With nodes 1 and 2 down, new epochs reach f+1 = 2 only if the
+  // recovered node votes.
+  r.h.servers[1]->crash(/*wipe=*/false);
+  r.h.servers[2]->crash(/*wipe=*/false);
+  r.grow(2);
+  const auto view = client.get();
+  EXPECT_EQ(view.masked_nodes, 0u);
+  EXPECT_GT(view.epoch, adopted);
+  EXPECT_EQ(view.epoch, r.h.servers[0]->get().epoch);
+  EXPECT_EQ(client.node_status(3), api::NodeStatus::kOk);
+}
+
+TEST(QuorumIncrementalRead, VerifyFindsElementsOfEveryAdoptedEpoch) {
+  ReadHarness r(3);
+  auto client = make_client(r.h, real_nodes(r.h));
+  const auto view = client.get();
+  ASSERT_GE(view.epoch, 3u);
+  for (const auto& rec : view.history) {
+    for (const auto id : rec.ids) {
+      EXPECT_TRUE(view.contains(id));
+      const auto v = client.verify(id);
+      EXPECT_TRUE(v.in_epoch);
+      EXPECT_EQ(v.epoch, rec.number);
+      EXPECT_TRUE(v.committed);
+    }
+  }
+  EXPECT_FALSE(view.contains(core::make_element_id(99, 1)));
+  EXPECT_FALSE(client.verify(core::make_element_id(99, 1)).in_epoch);
+}
+
 // ----------------------------------------------- crashed / isolated primaries
 
 // The facade face of a crash fault: a dead primary refuses adds, so the
@@ -388,7 +645,9 @@ TEST(QuorumUnderCrash, DeadPrimaryFailsOverWithinQuorumAttemptsAndGetAgrees) {
 
   h.servers[0]->crash(/*wipe=*/false);
   EXPECT_TRUE(h.servers[0]->is_down());
-  EXPECT_EQ(h.servers[0]->snapshot().history, nullptr);  // serves nothing
+  const auto dead = h.servers[0]->snapshot(1);  // serves nothing
+  EXPECT_EQ(dead.epoch, 0u);
+  EXPECT_TRUE(dead.records.empty());
   EXPECT_TRUE(h.servers[0]->proofs_for_epoch(1).empty());
 
   // Adds while the primary is dead: exactly one failover hop (f+1 = 2
@@ -409,7 +668,7 @@ TEST(QuorumUnderCrash, DeadPrimaryFailsOverWithinQuorumAttemptsAndGetAgrees) {
   const auto truth = h.servers[1]->get();
   ASSERT_EQ(view.epoch, truth.history->size());
   for (const auto id : accepted) {
-    if (view.the_set.contains(id)) continue;
+    if (view.contains(id)) continue;
     // Post-crash adds are still in live collectors until the next seal.
     EXPECT_GT(id, accepted[3]) << "pre-crash element missing from quorum view";
   }

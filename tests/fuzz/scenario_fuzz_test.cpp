@@ -103,7 +103,7 @@ void run_once(const FuzzCase& fc, FuzzOutcome& out) {
   if (fc.check_liveness) {
     EXPECT_EQ(view.epoch, ref_snap.history->size()) << fc.summary;
     for (const auto id : e.accepted_valid_ids()) {
-      EXPECT_TRUE(view.the_set.contains(id)) << fc.summary << " element " << id;
+      EXPECT_TRUE(view.contains(id)) << fc.summary << " element " << id;
     }
   }
 

@@ -169,7 +169,7 @@ TEST_P(ConsensusClusterConformance, MatchesSimReferenceWithoutSequencer) {
   const auto view = client.get();
   EXPECT_EQ(view.masked_nodes, 0u);
   for (const auto id : accepted) {
-    EXPECT_TRUE(view.the_set.contains(id)) << "quorum view missing " << id;
+    EXPECT_TRUE(view.contains(id)) << "quorum view missing " << id;
   }
   const auto verdict = client.verify(accepted.front());
   EXPECT_TRUE(verdict.committed);
@@ -229,7 +229,7 @@ TEST(ConsensusFailover, ClusterSurvivesRound0ProposerCrash) {
   // The quorum client still reads an f+1-agreed view across the survivors.
   const auto view = client.get();
   for (const auto id : accepted) {
-    EXPECT_TRUE(view.the_set.contains(id)) << "quorum view missing " << id;
+    EXPECT_TRUE(view.contains(id)) << "quorum view missing " << id;
   }
 }
 
@@ -384,7 +384,7 @@ TEST(ConsensusByzantine, EquivocatingNodeIsMaskedAndSurvivorsStayConformant) {
 
   const auto view = client.get();
   for (const auto id : accepted) {
-    EXPECT_TRUE(view.the_set.contains(id)) << "quorum view missing " << id;
+    EXPECT_TRUE(view.contains(id)) << "quorum view missing " << id;
   }
 }
 

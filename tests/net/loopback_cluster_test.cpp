@@ -147,7 +147,7 @@ TEST_P(LoopbackClusterConformance, WireClusterMatchesSimReference) {
   const auto view = client.get();
   EXPECT_EQ(view.masked_nodes, 0u);
   for (const auto id : accepted) {
-    EXPECT_TRUE(view.the_set.contains(id)) << "quorum view missing " << id;
+    EXPECT_TRUE(view.contains(id)) << "quorum view missing " << id;
   }
   const auto verdict = client.verify(accepted.front());
   EXPECT_TRUE(verdict.in_epoch);
@@ -236,6 +236,59 @@ TEST(LoopbackClusterFaults, PartitionedReplicaRejoins) {
 
 // A garbage frame (bad payload for its type) must be counted and ignored,
 // never crash a node or poison its state.
+/// A server-state body (docs/STORAGE_FORMAT.md §server-state, version 1)
+/// holding `epochs` consolidated epochs of `ids_per_epoch` dense ids each,
+/// no proofs, applied height 0 — a long history without running it.
+codec::Bytes long_history_state(std::uint64_t epochs, std::uint64_t ids_per_epoch) {
+  codec::Writer w;
+  w.u8(1).varint(epochs).varint(0).varint(epochs);
+  for (std::uint64_t e = 1; e <= epochs; ++e) {
+    core::EpochHash hash{};
+    for (std::size_t i = 0; i < 8; ++i) hash[i] = static_cast<std::uint8_t>(e >> (8 * i));
+    w.varint(e).varint(ids_per_epoch).varint(ids_per_epoch * 200);
+    w.bytes(codec::ByteView(hash.data(), hash.size()));
+    w.varint(ids_per_epoch).varint((e - 1) * ids_per_epoch + 1);
+    for (std::uint64_t k = 1; k < ids_per_epoch; ++k) w.varint(1);
+  }
+  for (std::uint64_t e = 0; e < epochs; ++e) w.varint(0);  // proof buckets
+  w.varint(0);                                             // parked proofs
+  return w.take();
+}
+
+// A node serves at most 6 MiB (worst-case estimate: 96 B a record plus
+// 10 B an id) per SNAPSHOT_RESP. A history beyond that must still be
+// adopted in full by one get(): every honest node would otherwise stop at
+// the same prefix, and quorum reads would never advance past it.
+TEST(LoopbackReadPath, GetAdoptsAHistoryLargerThanOneResponse) {
+  constexpr std::uint64_t kEpochs = 60'000;
+  constexpr std::uint64_t kIdsPerEpoch = 4;  // 60k * (96 + 40) B = 8.2 MB > 6 MiB
+  LoopbackCluster cl(runner::Algorithm::kCompresschain);
+  cl.start();
+  // Two nodes (f+1) hold the long history; nodes 2 and 3 are empty, i.e.
+  // far behind, and must not be masked for it.
+  const codec::Bytes state = long_history_state(kEpochs, kIdsPerEpoch);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    codec::Reader r(state);
+    ASSERT_TRUE(cl.hosts[i]->server().restore_state(r));
+  }
+
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  api::QuorumClient client = cl.client(stubs);
+  const auto view = client.get();
+  EXPECT_EQ(view.epoch, kEpochs);
+  EXPECT_EQ(view.masked_nodes, 0u);
+  EXPECT_TRUE(view.contains(kEpochs * kIdsPerEpoch));
+  // It took more than one response from each of the long-history nodes.
+  EXPECT_GE(cl.hosts[0]->rpcs_served(), 2u);
+  EXPECT_GE(cl.hosts[1]->rpcs_served(), 2u);
+
+  // The next read starts past the adopted prefix: one short RPC per node.
+  const auto served = cl.hosts[0]->rpcs_served();
+  EXPECT_EQ(client.get().epoch, kEpochs);
+  EXPECT_EQ(cl.hosts[0]->rpcs_served(), served + 1);
+  EXPECT_EQ(client.get().masked_nodes, 0u);
+}
+
 TEST(LoopbackClusterRobustness, MalformedPayloadsAreCountedAndIgnored) {
   LoopbackCluster cl(runner::Algorithm::kHashchain);
   cl.start();

@@ -114,7 +114,7 @@ TEST(NetSoak, SustainedLoadStaysCleanAndConformant) {
   ASSERT_TRUE(wait_for([&] {
     const auto view = client.get();
     for (const auto id : accepted) {
-      if (!view.the_set.contains(id)) return false;
+      if (!view.contains(id)) return false;
     }
     return view.epoch > 0;
   })) << "quorum view never covered the soak workload";

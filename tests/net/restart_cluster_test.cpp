@@ -230,7 +230,7 @@ bool view_covers(api::QuorumClient& client,
                  const std::vector<core::ElementId>& accepted) {
   const auto view = client.get();
   for (const auto id : accepted) {
-    if (!view.the_set.contains(id)) return false;
+    if (!view.contains(id)) return false;
   }
   return view.epoch > 0;
 }

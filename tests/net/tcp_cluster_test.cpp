@@ -178,7 +178,7 @@ void run_tcp_conformance(runner::Algorithm algo,
   ASSERT_TRUE(wait_for([&] {
     const auto view = client.get();
     for (const auto id : accepted) {
-      if (!view.the_set.contains(id)) return false;
+      if (!view.contains(id)) return false;
     }
     return view.epoch > 0;
   })) << "quorum view never covered the workload";
@@ -254,7 +254,7 @@ TEST(TcpCluster, ConsensusSurvivesProposerKill) {
   ASSERT_TRUE(wait_for([&] {
     const auto view = client.get();
     for (const auto id : accepted) {
-      if (!view.the_set.contains(id)) return false;
+      if (!view.contains(id)) return false;
     }
     return view.epoch > 0;
   })) << "cluster never consolidated the pre-kill workload";
@@ -275,7 +275,7 @@ TEST(TcpCluster, ConsensusSurvivesProposerKill) {
   ASSERT_TRUE(wait_for([&] {
     const auto view = client.get();
     for (const auto id : accepted) {
-      if (!view.the_set.contains(id)) return false;
+      if (!view.contains(id)) return false;
     }
     return true;
   })) << "survivors never consolidated past the killed proposer";

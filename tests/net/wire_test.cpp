@@ -4,6 +4,9 @@
 // total over untrusted bytes, with no crashes under ASan/UBSan.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "core/batch.hpp"
 #include "net/wire.hpp"
 #include "sim/rng.hpp"
@@ -171,11 +174,17 @@ TEST(WirePayloads, AddRequestResponseRoundTrip) {
   EXPECT_FALSE(parse_add_response(Bytes{17, 2}).has_value());  // bool out of range
 }
 
-TEST(WirePayloads, SnapshotResponseRoundTripSortedDeltas) {
+/// A ranged read: epochs 5 and 6 of a node at epoch 9, after a prefix
+/// whose digest is a recognizable pattern.
+SnapshotResponse sample_snapshot_response() {
   SnapshotResponse m;
   m.req_id = 3;
-  m.epoch = 2;
-  for (std::uint64_t n = 1; n <= 2; ++n) {
+  m.epoch = 9;
+  m.from_epoch = 5;
+  for (std::size_t i = 0; i < m.prefix_digest.size(); ++i) {
+    m.prefix_digest[i] = static_cast<std::uint8_t>(0xC0 + i);
+  }
+  for (std::uint64_t n = 5; n <= 6; ++n) {
     core::EpochRecord rec;
     rec.number = n;
     rec.ids = {n * 100, n * 100 + 1, n * 100 + 77};
@@ -184,38 +193,132 @@ TEST(WirePayloads, SnapshotResponseRoundTripSortedDeltas) {
     for (std::size_t i = 0; i < rec.hash.size(); ++i) {
       rec.hash[i] = static_cast<std::uint8_t>(n + i);
     }
-    m.history.push_back(rec);
+    m.records.push_back(rec);
   }
-  m.the_set = {100, 101, 177, 200, 201, 277, 999};
-
-  const auto parsed = parse_snapshot_response(encode_snapshot_response(m));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->req_id, m.req_id);
-  EXPECT_EQ(parsed->epoch, m.epoch);
-  ASSERT_EQ(parsed->history.size(), m.history.size());
-  for (std::size_t i = 0; i < m.history.size(); ++i) {
-    EXPECT_EQ(parsed->history[i].number, m.history[i].number);
-    EXPECT_EQ(parsed->history[i].ids, m.history[i].ids);
-    EXPECT_EQ(parsed->history[i].count, m.history[i].count);
-    EXPECT_EQ(parsed->history[i].bytes, m.history[i].bytes);
-    EXPECT_EQ(parsed->history[i].hash, m.history[i].hash);
-  }
-  EXPECT_EQ(parsed->the_set, m.the_set);
+  return m;
 }
 
-TEST(WirePayloads, SnapshotRejectsDuplicateIdsAndWraparound) {
-  // Hand-build an id list with delta 0 (a duplicate id smuggled past set
-  // logic) — the parser must refuse.
-  codec::Writer w;
-  w.varint(1).varint(0).varint(0);  // req, epoch, history count
-  w.varint(2).varint(5).varint(0);  // the_set: 2 ids, first=5, delta=0
-  EXPECT_FALSE(parse_snapshot_response(w.buffer()).has_value());
+void expect_same_snapshot(const SnapshotResponse& a, const SnapshotResponse& b) {
+  EXPECT_EQ(a.req_id, b.req_id);
+  EXPECT_EQ(a.epoch, b.epoch);
+  EXPECT_EQ(a.from_epoch, b.from_epoch);
+  EXPECT_EQ(a.prefix_digest, b.prefix_digest);
+  ASSERT_EQ(a.records.size(), b.records.size());
+  for (std::size_t i = 0; i < a.records.size(); ++i) {
+    EXPECT_EQ(a.records[i].number, b.records[i].number);
+    EXPECT_EQ(a.records[i].ids, b.records[i].ids);
+    EXPECT_EQ(a.records[i].count, b.records[i].count);
+    EXPECT_EQ(a.records[i].bytes, b.records[i].bytes);
+    EXPECT_EQ(a.records[i].hash, b.records[i].hash);
+  }
+}
 
+TEST(WirePayloads, SnapshotRangeRoundTripSortedDeltas) {
+  const auto req = parse_snapshot_request(encode_snapshot_request({11, 5}));
+  ASSERT_TRUE(req.has_value());
+  EXPECT_EQ(req->req_id, 11u);
+  EXPECT_EQ(req->from_epoch, 5u);
+
+  const SnapshotResponse m = sample_snapshot_response();
+  const auto parsed = parse_snapshot_response(encode_snapshot_response(m));
+  ASSERT_TRUE(parsed.has_value());
+  expect_same_snapshot(*parsed, m);
+
+  // A lagging node (epoch below from-1) answers with no records; a node
+  // caught up at from-1 answers with its digest and no records.
+  SnapshotResponse lag;
+  lag.epoch = 2;
+  lag.from_epoch = 7;
+  const auto lag_parsed = parse_snapshot_response(encode_snapshot_response(lag));
+  ASSERT_TRUE(lag_parsed.has_value());
+  expect_same_snapshot(*lag_parsed, lag);
+}
+
+TEST(WirePayloads, SnapshotRejectsBadRangesDuplicateIdsAndWraparound) {
+  // from_epoch is 1-based on both sides.
+  EXPECT_FALSE(parse_snapshot_request(codec::Writer().varint(1).varint(0).buffer()));
+  SnapshotResponse zero = sample_snapshot_response();
+  zero.records.clear();
+  zero.from_epoch = 0;
+  EXPECT_FALSE(parse_snapshot_response(encode_snapshot_response(zero)).has_value());
+
+  // Records may not run past the node's own epoch: 5..6 needs epoch >= 6.
+  SnapshotResponse past = sample_snapshot_response();
+  past.epoch = 5;
+  EXPECT_FALSE(parse_snapshot_response(encode_snapshot_response(past)).has_value());
+  past.epoch = 6;
+  EXPECT_TRUE(parse_snapshot_response(encode_snapshot_response(past)).has_value());
+
+  // Hand-build a record whose id list has delta 0 (a duplicate id
+  // smuggled past set logic) — the parser must refuse.
+  const auto one_record = [](std::uint64_t first, std::uint64_t delta) {
+    codec::Writer w;
+    w.varint(1).varint(1).varint(1);  // req, epoch, from_epoch
+    w.bytes(Bytes(32, 0)).varint(1);  // prefix digest, record count
+    w.varint(2).varint(0).bytes(Bytes(64, 0));  // count, bytes, hash
+    w.varint(2).varint(first).varint(delta);    // ids: 2, first, delta
+    return w.take();
+  };
+  EXPECT_TRUE(parse_snapshot_response(one_record(5, 1)).has_value());
+  EXPECT_FALSE(parse_snapshot_response(one_record(5, 0)).has_value());
   // Wraparound via a huge delta must be rejected, not wrapped.
-  codec::Writer w2;
-  w2.varint(1).varint(0).varint(0);
-  w2.varint(2).varint(5).varint(~0ULL);  // 5 + 2^64-1 wraps
-  EXPECT_FALSE(parse_snapshot_response(w2.buffer()).has_value());
+  EXPECT_FALSE(parse_snapshot_response(one_record(5, ~0ULL)).has_value());
+}
+
+// Every truncation, single-byte mutation and junk buffer through the two
+// snapshot parsers, as ProposalParsersAgreeOnEveryInput sweeps the
+// proposal parsers: whatever parses is a well-formed ranged read (from
+// >= 1, record k numbered from+k, never past epoch, ids strictly
+// increasing), and re-encoding it yields a message that parses to the same
+// value.
+TEST(WirePayloads, SnapshotParsersHoldInvariantsOnEveryInput) {
+  const auto check = [](ByteView v) {
+    if (const auto q = parse_snapshot_request(v)) {
+      EXPECT_GE(q->from_epoch, 1u);
+      const auto again = parse_snapshot_request(encode_snapshot_request(*q));
+      ASSERT_TRUE(again.has_value());
+      EXPECT_EQ(again->req_id, q->req_id);
+      EXPECT_EQ(again->from_epoch, q->from_epoch);
+    }
+    if (const auto p = parse_snapshot_response(v)) {
+      ASSERT_GE(p->from_epoch, 1u);
+      if (!p->records.empty()) {
+        EXPECT_LE(p->from_epoch - 1, p->epoch);
+        EXPECT_LE(p->records.size(), p->epoch - (p->from_epoch - 1));
+      }
+      for (std::size_t k = 0; k < p->records.size(); ++k) {
+        const auto& ids = p->records[k].ids;
+        EXPECT_EQ(p->records[k].number, p->from_epoch + k);
+        EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()),
+                  ids.end());
+      }
+      const auto again = parse_snapshot_response(encode_snapshot_response(*p));
+      ASSERT_TRUE(again.has_value());
+      expect_same_snapshot(*again, *p);
+    }
+  };
+
+  const std::vector<Bytes> payloads = {encode_snapshot_request({7, 5}),
+                                       encode_snapshot_response(sample_snapshot_response())};
+  for (const Bytes& payload : payloads) {
+    check(payload);
+    for (std::size_t cut = 0; cut < payload.size(); ++cut) {
+      check(ByteView(payload).first(cut));
+    }
+    for (std::size_t i = 0; i < payload.size(); ++i) {
+      for (const std::uint8_t flip : {0xFF, 0x01, 0x80}) {
+        Bytes mutated = payload;
+        mutated[i] ^= flip;
+        check(mutated);
+      }
+    }
+  }
+  sim::Rng rng(78);
+  for (int iter = 0; iter < 500; ++iter) {
+    Bytes junk(rng.uniform_u64(160) + 1);
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.uniform_u64(256));
+    check(junk);
+  }
 }
 
 TEST(WirePayloads, ProofsRoundTripAndSignatureSurvives) {
@@ -498,6 +601,17 @@ TEST(WirePayloads, ClusterIdSeparatesLedgerModes) {
   EXPECT_NE(cluster_id(42, 4, 1, 2, 1), cluster_id(42, 4, 1, 2, 2));
 }
 
+TEST(WirePayloads, ClusterIdRefusesOlderClientRpcRevision) {
+  // The sequencer-mode derivation before kClientRpcRevision was mixed in:
+  // a client built against it must not pass the Hello handshake.
+  std::uint64_t s = 42 ^ 0xC1D57E55ULL;
+  std::uint64_t old_id = sim::splitmix64(s);
+  s ^= (std::uint64_t{4} << 32) | (std::uint64_t{1} << 8) | 2;
+  old_id ^= sim::splitmix64(s);
+  EXPECT_NE(cluster_id(42, 4, 1, 2, 0), old_id);
+  EXPECT_EQ(kClientRpcRevision, 2);
+}
+
 // Property sweep: every payload parser must reject (a) any strict prefix
 // and (b) one byte of trailing garbage — totality over truncation and the
 // no-trailing-garbage rule, for every frame type the codec implements.
@@ -507,16 +621,7 @@ TEST(WirePayloads, EveryParserRejectsTruncationAndTrailingGarbage) {
   pki.register_process(1);
   pki.register_process(100);
 
-  SnapshotResponse snap;
-  snap.req_id = 1;
-  snap.epoch = 1;
-  core::EpochRecord rec;
-  rec.number = 1;
-  rec.ids = {3, 9};
-  rec.count = 2;
-  rec.bytes = 128;
-  snap.history.push_back(rec);
-  snap.the_set = {3, 9};
+  const SnapshotResponse snap = sample_snapshot_response();
 
   ProofsResponse proofs;
   proofs.req_id = 2;
@@ -570,7 +675,7 @@ TEST(WirePayloads, EveryParserRejectsTruncationAndTrailingGarbage) {
        [](ByteView v) { return parse_add_request(v).has_value(); }},
       {"add_resp", encode_add_response({3, true}),
        [](ByteView v) { return parse_add_response(v).has_value(); }},
-      {"snap_req", encode_snapshot_request({4}),
+      {"snap_req", encode_snapshot_request({4, 3}),
        [](ByteView v) { return parse_snapshot_request(v).has_value(); }},
       {"snap_resp", encode_snapshot_response(snap),
        [](ByteView v) { return parse_snapshot_response(v).has_value(); }},
@@ -632,6 +737,7 @@ TEST(WirePayloads, RandomBytesNeverCrash) {
     parse_hello(junk);
     parse_add_request(junk);
     parse_add_response(junk);
+    parse_snapshot_request(junk);
     parse_snapshot_response(junk);
     parse_proofs_response(junk);
     parse_epoch_response(junk);

@@ -224,7 +224,7 @@ struct LiveRollup {
     ASSERT_TRUE(wait_for([&] {
       const auto view = client.get();
       for (const auto id : accepted) {
-        if (!view.the_set.contains(id)) return false;
+        if (!view.contains(id)) return false;
       }
       return view.epoch > 0;
     })) << "quorum view never covered the rollup workload";
