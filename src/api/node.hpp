@@ -70,7 +70,9 @@ class ISetchainNode {
   /// index i-1" convention. Any single node's proof store may be partial
   /// or fake — commit decisions need f+1 VALID proofs from distinct
   /// signers, validated against the quorum-agreed epoch hash, gathered
-  /// across all nodes (QuorumClient::verify).
+  /// across all nodes (QuorumClient::verify). The reference is valid until
+  /// the next proofs_for_epoch call on the same node: a remote stub keeps
+  /// only its last answer, so callers use it before asking again.
   virtual const std::vector<core::EpochProof>& proofs_for_epoch(
       std::uint64_t epoch_number) const = 0;
 

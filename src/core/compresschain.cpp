@@ -15,9 +15,7 @@ CompresschainServer::CompresschainServer(ServerContext ctx, crypto::ProcessId id
 bool CompresschainServer::add(Element e) {
   if (is_down()) return false;
   cpu_acquire(params().costs.validate_element);
-  if (!valid_element(e, *ctx_.pki, fidelity())) return false;
-  if (in_the_set(e.id)) return false;
-  the_set_insert(e.id);
+  if (!admit(e)) return false;
   collector_.add_element(std::move(e));
   return true;
 }

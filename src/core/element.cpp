@@ -64,11 +64,12 @@ bool valid_element(const Element& e, const crypto::Pki& pki, Fidelity fidelity) 
 }
 
 std::vector<bool> valid_elements(const std::vector<Element>& es, const crypto::Pki& pki,
-                                 Fidelity fidelity) {
+                                 Fidelity fidelity, const std::vector<bool>& known_valid) {
   std::vector<bool> out(es.size(), false);
+  const auto known = [&](std::size_t i) { return i < known_valid.size() && known_valid[i]; };
   if (fidelity == Fidelity::kCalibrated) {
     for (std::size_t i = 0; i < es.size(); ++i) {
-      out[i] = element_well_formed(es[i], fidelity) && es[i].valid_flag;
+      out[i] = known(i) || (element_well_formed(es[i], fidelity) && es[i].valid_flag);
     }
     return out;
   }
@@ -81,6 +82,10 @@ std::vector<bool> valid_elements(const std::vector<Element>& es, const crypto::P
   messages.reserve(es.size());
   positions.reserve(es.size());
   for (std::size_t i = 0; i < es.size(); ++i) {
+    if (known(i)) {
+      out[i] = true;
+      continue;
+    }
     if (!element_well_formed(es[i], fidelity)) continue;
     messages.push_back(element_signed_message(es[i]));
     positions.push_back(i);

@@ -58,8 +58,11 @@ bool valid_element(const Element& e, const crypto::Pki& pki, Fidelity fidelity);
 /// checks run per element, but all client signatures are verified with ONE
 /// Ed25519 batch check (full fidelity), amortizing the curve arithmetic
 /// across the block. result[i] == valid_element(es[i], ...) for every i.
+/// `known_valid[i]` (when present) says es[i] already passed valid_element
+/// on this server: it is reported valid without being checked again.
 std::vector<bool> valid_elements(const std::vector<Element>& es, const crypto::Pki& pki,
-                                 Fidelity fidelity);
+                                 Fidelity fidelity,
+                                 const std::vector<bool>& known_valid = {});
 
 /// 8-byte content digest used in canonical epoch hashes. Full fidelity:
 /// first bytes of SHA-512(payload); calibrated: splitmix of the id.

@@ -20,9 +20,7 @@ void HashchainServer::connect_peers(std::vector<HashchainServer*> peers) {
 bool HashchainServer::add(Element e) {
   if (is_down()) return false;
   cpu_acquire(params().costs.validate_element);
-  if (!valid_element(e, *ctx_.pki, fidelity())) return false;
-  if (in_the_set(e.id)) return false;
-  the_set_insert(e.id);
+  if (!admit(e)) return false;
   collector_.add_element(std::move(e));
   return true;
 }

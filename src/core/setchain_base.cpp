@@ -64,6 +64,7 @@ void SetchainServer::crash(bool wipe) {
     proof_servers_.clear();
     epoch_ = 0;
   }
+  admitted_.clear();
   on_crash(wipe);
 }
 
@@ -77,6 +78,14 @@ bool SetchainServer::epoch_proven(std::uint64_t epoch_number) const {
   if (down_) return false;  // unreachable process answers nothing
   if (epoch_number == 0 || epoch_number > proof_servers_.size()) return false;
   return proof_servers_[epoch_number - 1].size() >= params().f + 1;
+}
+
+bool SetchainServer::admit(const Element& e) {
+  if (!valid_element(e, *ctx_.pki, fidelity())) return false;
+  if (in_the_set(e.id)) return false;
+  the_set_insert(e.id);
+  if (fidelity() == Fidelity::kFull) admitted_.insert_or_assign(e.id, e);
+  return true;
 }
 
 bool SetchainServer::in_the_set(ElementId id) const {
@@ -100,8 +109,16 @@ bool SetchainServer::in_history(ElementId id) const {
 }
 
 std::vector<Element> SetchainServer::extract_new_valid(
-    const std::vector<Element>& es) const {
-  const std::vector<bool> valid = valid_elements(es, *ctx_.pki, fidelity());
+    const std::vector<Element>& es) {
+  std::vector<bool> verified(admitted_.empty() ? 0 : es.size(), false);
+  for (std::size_t i = 0; i < verified.size(); ++i) {
+    const auto it = admitted_.find(es[i].id);
+    if (it == admitted_.end()) continue;
+    const Element& a = it->second;
+    verified[i] = a.client == es[i].client && a.payload == es[i].payload && a.sig == es[i].sig;
+    if (verified[i]) ++apply_verify_skipped_;
+  }
+  const std::vector<bool> valid = valid_elements(es, *ctx_.pki, fidelity(), verified);
   std::vector<Element> g;
   g.reserve(es.size());
   std::unordered_set<ElementId> in_g;
@@ -127,6 +144,7 @@ EpochProof SetchainServer::consolidate(const std::vector<Element>& g,
   for (const auto& e : g) {
     rec.bytes += e.wire_size;
     id_digests.emplace_back(e.id, element_digest(e, fidelity()));
+    admitted_.erase(e.id);  // consolidated: add will never take this id again
   }
   std::sort(id_digests.begin(), id_digests.end());
   rec.hash = epoch_hash(number, id_digests, fidelity());

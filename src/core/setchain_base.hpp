@@ -117,6 +117,9 @@ class SetchainServer : public api::ISetchainNode {
   std::uint64_t applied_height() const { return applied_height_; }
 
   std::uint64_t the_set_size() const { return the_set_count_; }
+  /// Elements applied without a second signature check: byte-identical to
+  /// an element this server's add verified (see admit()).
+  std::uint64_t apply_verify_skipped() const { return apply_verify_skipped_; }
   /// Client-facing like snapshot(): an unreachable (down) server reports
   /// nothing. White-box inspection goes through get().epoch.
   std::uint64_t epoch() const override { return down_ ? 0 : epoch_; }
@@ -155,6 +158,12 @@ class SetchainServer : public api::ISetchainNode {
   virtual void serialize_derived(codec::Writer& w) const { (void)w; }
   virtual bool restore_derived(codec::Reader& r) { (void)r; return true; }
 
+  /// The add-time check all three algorithms share: valid_element, and not
+  /// already in the_set (then inserted). In full fidelity an admitted
+  /// element is also kept until it is consolidated, so that
+  /// extract_new_valid need not verify the same bytes a second time.
+  bool admit(const Element& e);
+
   bool in_the_set(ElementId id) const;
   /// Insert into the_set; false if already present. Under lean_state only a
   /// counter is kept (workload ids are unique by construction).
@@ -166,8 +175,10 @@ class SetchainServer : public api::ISetchainNode {
   /// Filter a batch's elements down to the valid, not-yet-epoch'd ones
   /// (dedup within the input too): the G of the pseudocode. Signature
   /// checks go through the Ed25519 batch path (one multi-scalar
-  /// multiplication per call in full fidelity).
-  std::vector<Element> extract_new_valid(const std::vector<Element>& es) const;
+  /// multiplication per call in full fidelity). An element byte-identical
+  /// to one admit() took is not verified again (validity is a function of
+  /// the bytes); any other copy, say a forgery under the same id, is.
+  std::vector<Element> extract_new_valid(const std::vector<Element>& es);
 
   /// Create epoch `epoch_+1` from G (callers guarantee determinism of G
   /// across correct servers). Adds to history, notifies the recorder, and
@@ -227,6 +238,12 @@ class SetchainServer : public api::ISetchainNode {
 
  private:
   void try_flush_pending_proofs(sim::Time ledger_time);
+
+  /// Full fidelity: the elements admit() verified, by id, until their id is
+  /// consolidated. Volatile: a crash forgets them, so recovery replay
+  /// verifies everything.
+  std::unordered_map<ElementId, Element> admitted_;
+  std::uint64_t apply_verify_skipped_ = 0;
 
   /// Proofs received ahead of local consolidation of their epoch, with the
   /// batch-verified signature verdict they arrived with.

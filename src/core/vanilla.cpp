@@ -8,9 +8,7 @@ VanillaServer::VanillaServer(ServerContext ctx, crypto::ProcessId id)
 bool VanillaServer::add(Element e) {
   if (is_down()) return false;
   cpu_acquire(params().costs.validate_element);
-  if (!valid_element(e, *ctx_.pki, fidelity())) return false;
-  if (in_the_set(e.id)) return false;
-  the_set_insert(e.id);
+  if (!admit(e)) return false;
 
   ledger::Transaction tx;
   tx.kind = ledger::TxKind::kElement;

@@ -98,30 +98,38 @@ Ed25519::SigningKey expand(const Ed25519::Seed& seed, const Ed25519::PublicKey& 
   return out;
 }
 
-/// The one verification equation, against a decoded key: with
-/// k = H(R || A || M), accept iff encode(S*B + k*(-A)) == R bytes. The
-/// compare needs no decoding of R: compress() only emits canonical
-/// encodings of curve points, so a non-canonical or off-curve R can never
-/// match.
-bool verify_with(const Ed25519::PublicKey& pub, const GeOddMultiples& neg_a,
-                 codec::ByteView message, const Ed25519::Signature& sig) {
-  const codec::ByteView r_bytes(sig.data(), 32);
-  const U256 s = U256::from_bytes_le(codec::ByteView(sig.data() + 32, 32));
-  if (!(s < kOrderL)) return false;  // non-canonical S (malleability guard)
-
+/// The scalars of the verification equation: S from the signature and
+/// k = H(R || A || M) mod L. False for a non-canonical S (S >= L), the
+/// malleability guard.
+bool signature_scalars(const Ed25519::PublicKey& pub, codec::ByteView message,
+                       const Ed25519::Signature& sig, U256& s, U256& k) {
+  s = U256::from_bytes_le(codec::ByteView(sig.data() + 32, 32));
+  if (!(s < kOrderL)) return false;
   Sha512 k_hash;
-  k_hash.update(r_bytes);
+  k_hash.update(codec::ByteView(sig.data(), 32));
   k_hash.update(codec::ByteView(pub.data(), pub.size()));
   k_hash.update(message);
-  const U256 k = scalar_from_hash512(k_hash.finalize());
-
-  // S*B + k*(-A) as one interleaved double-scalar multiplication.
-  const Ge::Term term{k, &neg_a};
-  const auto lhs = Ge::multi_scalar_mul(s, std::span(&term, 1)).compress();
-  for (std::size_t i = 0; i < 32; ++i) {
-    if (lhs[i] != r_bytes[i]) return false;
-  }
+  k = scalar_from_hash512(k_hash.finalize());
   return true;
+}
+
+/// encode(p) == R bytes. No decoding of R is needed: compress() only emits
+/// canonical encodings of curve points, so a non-canonical or off-curve R
+/// can never match.
+bool encodes_r(const Ge& p, const Ed25519::Signature& sig) {
+  const auto enc = p.compress();
+  return std::equal(enc.begin(), enc.end(), sig.begin());
+}
+
+/// The verification equation over the Straus chain: accept iff
+/// encode(S*B + k*(-A)) == R bytes, with one interleaved double-scalar
+/// multiplication.
+bool verify_with(const Ed25519::PublicKey& pub, const GeOddMultiples& neg_a,
+                 codec::ByteView message, const Ed25519::Signature& sig) {
+  U256 s, k;
+  if (!signature_scalars(pub, message, sig, s, k)) return false;
+  const Ge::Term term{k, &neg_a};
+  return encodes_r(Ge::multi_scalar_mul(s, std::span(&term, 1)), sig);
 }
 
 }  // namespace
@@ -176,6 +184,15 @@ Ed25519::Signature Ed25519::sign(const Seed& seed, const PublicKey& pub,
 
 bool Ed25519::verify(const VerifyKey& key, codec::ByteView message, const Signature& sig) {
   return verify_with(key.bytes, key.neg_a, message, sig);
+}
+
+bool Ed25519::verify(const PublicKey& pub, const GeComb& neg_a_comb, codec::ByteView message,
+                     const Signature& sig) {
+  U256 s, k;
+  if (!signature_scalars(pub, message, sig, s, k)) return false;
+  // comb_sum needs scalars below 2^255: s, k < L.
+  const std::array<Ge::CombTerm, 2> terms{{{s, &GeComb::base()}, {k, &neg_a_comb}}};
+  return encodes_r(Ge::comb_sum(terms), sig);
 }
 
 bool Ed25519::verify(const PublicKey& pub, codec::ByteView message, const Signature& sig) {

@@ -60,11 +60,20 @@ struct Ed25519 {
   static Signature sign(const SigningKey& key, codec::ByteView message);
   static Signature sign(const Seed& seed, const PublicKey& pub, codec::ByteView message);
 
-  /// Cofactorless verification: S*B == R + k*A with canonical-S check.
-  /// The raw-key overload prepares the key (without the torsion check) for
-  /// this one call.
+  /// Cofactorless verification: S*B == R + k*A with canonical-S check,
+  /// computed as encode(S*B + k*(-A)) == R bytes over a 253-doubling
+  /// Straus chain. The raw-key overload decodes the key (without the
+  /// torsion check) for this one call.
   static bool verify(const VerifyKey& key, codec::ByteView message, const Signature& sig);
   static bool verify(const PublicKey& pub, codec::ByteView message, const Signature& sig);
+  /// The same equation over two fixed-base combs, B's and `neg_a_comb`
+  /// (the comb of -A for `pub`), interleaved: about 128 mixed additions
+  /// and 4 doublings, no doubling chain. It computes the same point, so
+  /// the verdict equals the Straus overloads' on every input. Pays off for
+  /// a key verified more than about four times (the comb costs about four
+  /// Straus verifies to build and holds 30 KiB).
+  static bool verify(const PublicKey& pub, const GeComb& neg_a_comb, codec::ByteView message,
+                     const Signature& sig);
 
   /// One signature of a batch. The referenced key/signature/message bytes
   /// must stay alive for the duration of the verify_batch call.

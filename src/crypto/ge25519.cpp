@@ -67,28 +67,22 @@ const std::array<GePrecomp, 64>& base_odd_table() {
   return kTable;
 }
 
-/// The fixed-base comb: row i holds j * 256^i * B for j = 1..8, affine.
-using CombTable = std::array<std::array<GePrecomp, 8>, 32>;
-
-const CombTable& comb_table() {
-  static const CombTable kTable = [] {
-    CombTable out;
-    Ge row_base = Ge::base();  // 256^i * B
-    for (auto& row : out) {
-      const GeCached step = row_base.to_cached();
-      Ge cur = row_base;
-      row[0] = GePrecomp::from(cur);
-      for (std::size_t j = 1; j < row.size(); ++j) {
-        cur = cur.add(step).to_p3();
-        row[j] = GePrecomp::from(cur);
-      }
-      GeP2 p = row_base.to_p2();
-      for (int d = 0; d < 7; ++d) p = p.dbl().to_p2();
-      row_base = p.dbl().to_p3();
-    }
-    return out;
-  }();
-  return kTable;
+/// 64 signed radix-16 digits in [-8, 8] of k < 2^255: k = sum e[i] * 16^i.
+std::array<std::int8_t, 64> radix16(const U256& k) {
+  std::array<std::int8_t, 64> e{};
+  const auto bytes = k.to_bytes_le<32>();
+  for (std::size_t i = 0; i < 32; ++i) {
+    e[2 * i] = static_cast<std::int8_t>(bytes[i] & 15);
+    e[2 * i + 1] = static_cast<std::int8_t>(bytes[i] >> 4);
+  }
+  int carry = 0;
+  for (std::size_t i = 0; i < 63; ++i) {
+    const int d = e[i] + carry;
+    carry = (d + 8) >> 4;
+    e[i] = static_cast<std::int8_t>(d - (carry << 4));
+  }
+  e[63] = static_cast<std::int8_t>(e[63] + carry);  // <= 8 since bit 255 is clear
+  return e;
 }
 
 GeP2 identity_p2() { return GeP2{Fe::zero(), Fe::one(), Fe::one()}; }
@@ -172,6 +166,56 @@ GeOddMultiples GeOddMultiples::of(const Ge& p) {
   return t;
 }
 
+std::unique_ptr<const GeComb> GeComb::of(const Ge& p) {
+  // Row i: j * 256^i * P for j = 1..8, in extended form first.
+  std::vector<Ge> pts;
+  pts.reserve(256);
+  Ge row_base = p;  // 256^i * P
+  for (std::size_t i = 0; i < 32; ++i) {
+    const GeCached step = row_base.to_cached();
+    Ge cur = row_base;
+    pts.push_back(cur);
+    for (std::size_t j = 1; j < 8; ++j) {
+      cur = cur.add(step).to_p3();
+      pts.push_back(cur);
+    }
+    // cur = 8 * 256^i * P; five doublings give 256^(i+1) * P.
+    GeP2 q = cur.to_p2();
+    for (int d = 0; d < 4; ++d) q = q.dbl().to_p2();
+    row_base = q.dbl().to_p3();
+  }
+
+  // Montgomery batch inversion: prefix[k] = Z_0 * ... * Z_(k-1), one
+  // inversion of the full product, then walk back. Z is never zero for a
+  // curve point in extended coordinates.
+  std::vector<Fe> prefix(pts.size());
+  Fe acc = Fe::one();
+  for (std::size_t k = 0; k < pts.size(); ++k) {
+    prefix[k] = acc;
+    acc = acc * pts[k].Z;
+  }
+  Fe inv = acc.invert();
+  auto comb = std::make_unique<GeComb>();
+  for (std::size_t k = pts.size(); k-- > 0;) {
+    const Fe zinv = inv * prefix[k];
+    inv = inv * pts[k].Z;
+    const Fe x = pts[k].X * zinv;
+    const Fe y = pts[k].Y * zinv;
+    comb->rows[k / 8][k % 8] = GePrecomp{y + x, y - x, x * y * fe_const::kD2};
+  }
+  return comb;
+}
+
+const GeComb& GeComb::base() {
+  static const std::unique_ptr<const GeComb> kComb = GeComb::of(Ge::base());
+  return *kComb;
+}
+
+const GeComb& GeLazyComb::get() const {
+  std::call_once(once_, [this] { comb_ = GeComb::of(point_); });
+  return *comb_;
+}
+
 // ------------------------------------------------------------------ Ge
 
 Ge Ge::identity() {
@@ -224,35 +268,31 @@ Ge Ge::scalar_mul(const U256& k) const {
 
 Ge Ge::base_scalar_mul(const U256& k) {
   if (k.bit(255)) return multi_scalar_mul(k, {});
+  const CombTerm term{k, &GeComb::base()};
+  return comb_sum(std::span(&term, 1));
+}
 
-  // 64 signed radix-16 digits in [-8, 8): k = sum e[i] * 16^i.
-  std::array<int, 64> e{};
-  const auto bytes = k.to_bytes_le<32>();
-  for (std::size_t i = 0; i < 32; ++i) {
-    e[2 * i] = bytes[i] & 15;
-    e[2 * i + 1] = bytes[i] >> 4;
-  }
-  int carry = 0;
-  for (std::size_t i = 0; i < 63; ++i) {
-    e[i] += carry;
-    carry = (e[i] + 8) >> 4;
-    e[i] -= carry << 4;
-  }
-  e[63] += carry;  // <= 8 since bit 255 is clear
+Ge Ge::comb_sum(std::span<const CombTerm> terms) {
+  std::vector<std::array<std::int8_t, 64>> digits;
+  digits.reserve(terms.size());
+  for (const auto& t : terms) digits.push_back(radix16(t.scalar));
 
   // Odd digits sit one radix-16 position above a comb row, so they are
   // summed first and lifted by 16 (four doublings); even digits add on top.
-  const CombTable& comb = comb_table();
   Ge h = Ge::identity();
-  const auto add_digit = [&](std::size_t i) {
-    const int d = e[i];
-    const auto& row = comb[i / 2];
-    if (d > 0) h = h.madd(row[static_cast<std::size_t>(d - 1)]).to_p3();
-    if (d < 0) h = h.msub(row[static_cast<std::size_t>(-d - 1)]).to_p3();
+  const auto add_digits = [&](std::size_t first) {
+    for (std::size_t i = first; i < 64; i += 2) {
+      for (std::size_t t = 0; t < terms.size(); ++t) {
+        const int d = digits[t][i];
+        const auto& row = terms[t].comb->rows[i / 2];
+        if (d > 0) h = h.madd(row[static_cast<std::size_t>(d - 1)]).to_p3();
+        if (d < 0) h = h.msub(row[static_cast<std::size_t>(-d - 1)]).to_p3();
+      }
+    }
   };
-  for (std::size_t i = 1; i < 64; i += 2) add_digit(i);
+  add_digits(1);
   h = h.to_p2().dbl().to_p2().dbl().to_p2().dbl().to_p2().dbl().to_p3();
-  for (std::size_t i = 0; i < 64; i += 2) add_digit(i);
+  add_digits(0);
   return h;
 }
 

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 
@@ -13,6 +15,7 @@ struct GeP1P1;
 struct GeCached;
 struct GePrecomp;
 struct GeOddMultiples;
+struct GeComb;
 
 /// Order L = 2^252 + 27742317777372353535851937790883648493 of the
 /// prime-order subgroup generated by the base point.
@@ -54,11 +57,23 @@ struct Ge {
   /// reference every faster path is tested against.
   Ge scalar_mul(const U256& k) const;
 
-  /// k*B through a precomputed fixed-base comb (ref10's 32 x 8 table of
-  /// j*256^i*B): 64 signed radix-16 digits cost 64 mixed additions and 4
-  /// doublings. The signing / key-derivation path. Scalars >= 2^255 (never
-  /// produced by Ed25519) take the multi-scalar path instead.
+  /// k*B through the base point's comb (GeComb::base()). The signing /
+  /// key-derivation path. Scalars >= 2^255 (never produced by Ed25519) take
+  /// the multi-scalar path instead.
   static Ge base_scalar_mul(const U256& k);
+
+  /// One term of comb_sum: a scalar below 2^255 and the comb of its point.
+  struct CombTerm {
+    U256 scalar;
+    const GeComb* comb = nullptr;
+  };
+
+  /// sum_i terms[i].scalar * P_i over fixed-base combs: 64 signed radix-16
+  /// digits per scalar. The odd digits of every term are summed first and
+  /// lifted by 16 (four doublings shared by all terms); the even digits add
+  /// on top. So m terms cost about 64m mixed additions and 4 doublings, no
+  /// doubling chain. Every scalar must be below 2^255. Variable time.
+  static Ge comb_sum(std::span<const CombTerm> terms);
 
   /// One term of multi_scalar_mul: the scalar and the cached odd multiples
   /// of its point (built once by the caller, so a key verified many times
@@ -116,6 +131,32 @@ struct GePrecomp {
 struct GeOddMultiples {
   std::array<GeCached, 8> pts;
   static GeOddMultiples of(const Ge& p);
+};
+
+/// Fixed-base comb of a point P: rows[i][j-1] = j * 256^i * P for i < 32,
+/// j = 1..8, in affine form (ref10's table, generalized from B to any
+/// point). 30 KiB; the table comb_sum selects from.
+struct GeComb {
+  std::array<std::array<GePrecomp, 8>, 32> rows;
+
+  /// Builds the 256 points in extended form, then makes them affine with
+  /// one Montgomery batch inversion.
+  static std::unique_ptr<const GeComb> of(const Ge& p);
+  /// The comb of B, built at first use.
+  static const GeComb& base();
+};
+
+/// A point's comb, built on the first get() and shared by every caller
+/// after that. Thread-safe: concurrent first calls build it once.
+class GeLazyComb {
+ public:
+  explicit GeLazyComb(const Ge& p) : point_(p) {}
+  const GeComb& get() const;
+
+ private:
+  Ge point_;
+  mutable std::once_flag once_;
+  mutable std::unique_ptr<const GeComb> comb_;
 };
 
 }  // namespace setchain::crypto

@@ -1,10 +1,36 @@
 #include "crypto/pki.hpp"
 
+#include <map>
+#include <mutex>
 #include <stdexcept>
 
 #include "crypto/sha512.hpp"
 
 namespace setchain::crypto {
+
+namespace {
+
+/// The lazy comb of -A for `pub`, one per key in the whole process: every
+/// Pki registering the key gets the same comb while any of them lives.
+std::shared_ptr<const GeLazyComb> shared_comb(const Ed25519::PublicKey& pub) {
+  static std::mutex mu;
+  static std::map<Ed25519::PublicKey, std::weak_ptr<const GeLazyComb>> combs;
+  static std::size_t live_after_sweep = 0;
+  const std::lock_guard lock(mu);
+  std::weak_ptr<const GeLazyComb>& slot = combs[pub];
+  if (auto comb = slot.lock()) return comb;
+  // Keys come from keypair(), so they always decode.
+  auto comb = std::make_shared<const GeLazyComb>(
+      Ge::decompress(codec::ByteView(pub.data(), pub.size()))->negate());
+  slot = comb;
+  if (combs.size() > 2 * live_after_sweep + 64) {  // drop keys no Pki holds
+    std::erase_if(combs, [](const auto& kv) { return kv.second.expired(); });
+    live_after_sweep = combs.size();
+  }
+  return comb;
+}
+
+}  // namespace
 
 Pki::Pki(std::uint64_t master_seed) : master_seed_(master_seed) {}
 
@@ -22,7 +48,7 @@ const Ed25519::PublicKey& Pki::register_process(ProcessId id) {
   Ed25519::Seed seed;
   std::copy(digest.begin(), digest.begin() + 32, seed.begin());
   auto [signing, verify] = Ed25519::keypair(seed);
-  auto [pos, _] = keys_.emplace(id, Entry{signing, verify});
+  auto [pos, _] = keys_.emplace(id, Entry{signing, verify, shared_comb(verify.bytes)});
   return pos->second.verify.bytes;
 }
 
@@ -42,7 +68,7 @@ bool Pki::verify(ProcessId id, codec::ByteView message,
                  const Ed25519::Signature& sig) const {
   auto it = keys_.find(id);
   if (it == keys_.end()) return false;
-  return Ed25519::verify(it->second.verify, message, sig);
+  return Ed25519::verify(it->second.verify.bytes, it->second.neg_a_comb->get(), message, sig);
 }
 
 Ed25519::BatchResult Pki::verify_batch(std::span<const SignedMessage> items) const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -17,9 +18,14 @@ using ProcessId = std::uint32_t;
 /// deterministically from a master seed so simulation runs are reproducible.
 ///
 /// Each registered process keeps its keys prepared: the expanded secret for
-/// signing and the decoded -A table for verifying, built once here. After
-/// registration the entries are read-only, so the verify pool and node
-/// threads may sign and verify concurrently.
+/// signing and the decoded -A table for verifying, built once here. The
+/// 30 KiB comb of -A that `verify` uses is built on the key's first
+/// `verify` (GeLazyComb: once, thread-safely), so only processes whose
+/// signatures are scalar-verified pay for it, and it is shared by every
+/// Pki in the process that registers the same key (an in-process cluster
+/// runs one Pki per node over one seed). Otherwise the entries are
+/// read-only after registration, so the verify pool and node threads may
+/// sign and verify concurrently.
 class Pki {
  public:
   explicit Pki(std::uint64_t master_seed);
@@ -57,6 +63,7 @@ class Pki {
   struct Entry {
     Ed25519::SigningKey signing;
     Ed25519::VerifyKey verify;
+    std::shared_ptr<const GeLazyComb> neg_a_comb;
   };
   std::uint64_t master_seed_;
   std::unordered_map<ProcessId, Entry> keys_;

@@ -93,10 +93,15 @@ void Sha256::update(codec::ByteView data) {
 
 Sha256::Digest Sha256::finalize() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(codec::ByteView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(codec::ByteView(&zero, 1));
+  // 0x80, zeros up to byte 56 of the last block (a length that does not
+  // fit after the 0x80 spills into one more block), then the length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
   std::uint8_t len_be[8];
   for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   // Bypass total_len_ accounting for the length field itself.

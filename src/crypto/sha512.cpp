@@ -116,10 +116,15 @@ Sha512::Digest Sha512::finalize() {
   const std::uint64_t bits_lo = total_lo_ << 3;
   const std::uint64_t bits_hi = (total_hi_ << 3) | (total_lo_ >> 61);
 
-  const std::uint8_t pad = 0x80;
-  update(codec::ByteView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 112) update(codec::ByteView(&zero, 1));
+  // 0x80, zeros up to byte 112 of the last block (a length that does not
+  // fit after the 0x80 spills into one more block), then the length.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 112) {
+    std::memset(buffer_.data() + buffer_len_, 0, buffer_.size() - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 112 - buffer_len_);
   std::uint8_t len_be[16];
   for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bits_hi >> (56 - 8 * i));
   for (int i = 0; i < 8; ++i) len_be[8 + i] = static_cast<std::uint8_t>(bits_lo >> (56 - 8 * i));

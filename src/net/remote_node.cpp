@@ -246,11 +246,11 @@ const std::vector<core::EpochProof>& RemoteNode::proofs_for_epoch(
   if (!f || f->type != wire::MsgType::kProofsResponse) return kNoProofs;
   auto resp = wire::parse_proofs_response(f->payload);
   if (!resp || resp->req_id != req.req_id) return kNoProofs;
-  // Node-based map: the returned reference stays valid across later calls
-  // for other epochs (a re-fetch of the same epoch updates in place).
-  auto& slot = proofs_cache_[epoch_number];
-  slot = std::move(resp->proofs);
-  return slot;
+  // One slot: the reference stays valid until the next call on this stub,
+  // which is all ISetchainNode promises; memory stays flat however many
+  // epochs a long-lived client reads.
+  proofs_ = std::move(resp->proofs);
+  return proofs_;
 }
 
 std::uint64_t RemoteNode::epoch() const {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <chrono>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -101,6 +100,9 @@ class RemoteNode final : public api::ISetchainNode {
   crypto::ProcessId node_id() const override { return node_id_; }
 
   std::uint64_t rpc_failures() const { return failures_; }
+  /// Epoch-proofs this stub holds on behalf of callers: those of the last
+  /// proofs_for_epoch answer only, whatever the history read so far.
+  std::size_t cached_proofs() const { return proofs_.size(); }
 
  private:
   std::optional<wire::Frame> call(wire::MsgType type, codec::ByteView payload) const;
@@ -110,10 +112,11 @@ class RemoteNode final : public api::ISetchainNode {
   std::chrono::milliseconds timeout_;
 
   // RPC bookkeeping (mutable: reads are RPCs). proofs_for_epoch returns a
-  // reference, so the proofs it fetched live here.
+  // reference, so the proofs of its last answer live here: one slot,
+  // valid until the next proofs_for_epoch call on this stub.
   mutable std::uint64_t next_req_ = 1;
   mutable std::uint64_t failures_ = 0;
-  mutable std::map<std::uint64_t, std::vector<core::EpochProof>> proofs_cache_;
+  mutable std::vector<core::EpochProof> proofs_;
 };
 
 }  // namespace setchain::net

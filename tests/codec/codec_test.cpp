@@ -102,6 +102,51 @@ TEST(Varint, OverlongEncodingRejected) {
   EXPECT_FALSE(get_varint(b, pos).has_value());
 }
 
+TEST(Varint, OnlyMinimalEncodingsParse) {
+  const auto parses = [](const Bytes& b) {
+    std::size_t pos = 0;
+    return get_varint(b, pos);
+  };
+  // A zero final group after a continuation is padding put_varint never
+  // writes: 80 00 would be a second encoding of 0.
+  EXPECT_FALSE(parses({0x80, 0x00}));
+  EXPECT_FALSE(parses({0x81, 0x00}));
+  EXPECT_FALSE(parses({0xFF, 0x80, 0x00}));
+  Bytes nine_zero_groups(9, 0x80);
+  nine_zero_groups.push_back(0x00);
+  EXPECT_FALSE(parses(nine_zero_groups));
+  EXPECT_EQ(parses({0x00}), 0u);
+
+  // The tenth byte carries bit 63 only.
+  Bytes max(9, 0xFF);
+  max.push_back(0x01);
+  EXPECT_EQ(parses(max), ~std::uint64_t{0});
+  Bytes top_bit(9, 0x80);
+  top_bit.push_back(0x01);
+  EXPECT_EQ(parses(top_bit), std::uint64_t{1} << 63);
+  for (const std::uint8_t tenth : {0x02, 0x7F, 0x03}) {
+    Bytes b(9, 0xFF);
+    b.push_back(tenth);
+    EXPECT_FALSE(parses(b)) << int(tenth);
+  }
+
+  // Exhaustive over one and two bytes: an input parses exactly when it is
+  // put_varint's encoding of the value it parses to.
+  for (unsigned x = 0; x < 0x10000; ++x) {
+    for (const std::size_t len : {1u, 2u}) {
+      if (len == 1 && x > 0xFF) continue;
+      Bytes b{static_cast<std::uint8_t>(x)};
+      if (len == 2) b.push_back(static_cast<std::uint8_t>(x >> 8));
+      std::size_t pos = 0;
+      const auto v = get_varint(b, pos);
+      if (!v || pos != b.size()) continue;
+      Bytes again;
+      put_varint(again, *v);
+      EXPECT_EQ(again, b) << std::hex << x;
+    }
+  }
+}
+
 // ----------------------------------------------------------------------- hex
 
 TEST(Hex, RoundtripAndCase) {

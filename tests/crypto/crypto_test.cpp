@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <latch>
+#include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "codec/hex.hpp"
 #include "crypto/bigint.hpp"
@@ -92,6 +97,72 @@ TEST(Sha512, IncrementalAcrossBlockBoundary) {
     ctx.update(codec::ByteView(msg.data(), split));
     ctx.update(codec::ByteView(msg.data() + split, msg.size() - split));
     EXPECT_EQ(ctx.finalize(), Sha512::hash(msg)) << split;
+  }
+}
+
+// ------------------------------------------------------- SHA padding sweep
+// finalize() pads in one step (0x80, a memset, at most two compressions).
+// Every message length 0..300 crosses each padding case: the length field
+// fits after the 0x80 (SHA-256 lengths mod 64 up to 55, SHA-512 up to 111)
+// or spills into one more block (56..63, 112..127). Each digest must equal
+// the byte-at-a-time digest, and the digests of all 301 prefixes, hashed
+// together, must equal the value an independent FIPS 180-4 implementation
+// (Python hashlib) gives for the same prefixes.
+
+codec::Bytes sweep_message() {
+  codec::Bytes msg(300);
+  for (std::size_t i = 0; i < msg.size(); ++i) msg[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  return msg;
+}
+
+template <typename H>
+std::string sweep_every_length(const codec::Bytes& msg) {
+  codec::Bytes all;
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const auto one_shot = H::hash(codec::ByteView(msg.data(), len));
+    H bytewise;
+    for (std::size_t i = 0; i < len; ++i) bytewise.update(codec::ByteView(msg.data() + i, 1));
+    EXPECT_EQ(bytewise.finalize(), one_shot) << len;
+    all.insert(all.end(), one_shot.begin(), one_shot.end());
+  }
+  const auto folded = H::hash(all);
+  return hex(codec::ByteView(folded.data(), folded.size()));
+}
+
+TEST(ShaPadding, Sha256EveryLengthMatchesReference) {
+  const codec::Bytes msg = sweep_message();
+  EXPECT_EQ(sweep_every_length<Sha256>(msg),
+            "7d917fbd2cf49ddff9ad0a8706bba32d204e92e71d2e369c5a03d6af29278c9f");
+  const std::vector<std::pair<std::size_t, const char*>> boundaries = {
+      {55, "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b"},
+      {56, "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27"},
+      {63, "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055"},
+      {64, "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241"},
+  };
+  for (const auto& [len, want] : boundaries) {
+    const auto d = Sha256::hash(codec::ByteView(msg.data(), len));
+    EXPECT_EQ(hex(codec::ByteView(d.data(), d.size())), want) << len;
+  }
+}
+
+TEST(ShaPadding, Sha512EveryLengthMatchesReference) {
+  const codec::Bytes msg = sweep_message();
+  EXPECT_EQ(sweep_every_length<Sha512>(msg),
+            "404431b1c0eac12729b20176c61b0e1c561b6b20d2ecbb7ee1126c361943d724"
+            "d7c0814a8daf5c3a2a7d3e431a0aaf58c12f96d8c3370582b777fd375c3c972f");
+  const std::vector<std::pair<std::size_t, const char*>> boundaries = {
+      {111, "68cffa6d0d76f309c9ce0d35280939f8e25990c43b7b086ccdf709be35b07d4d"
+            "dba599541ff2b1c19d34ea49aeafb9659adb7ac3c0b078bb30a22d57fc6687ef"},
+      {112, "d0865c524d1dddf7c23b799c413f5adcd7caefd3f66a9b49750ec81066012c25"
+            "a8bcf94ddea6dc525691673097ca40e0101e897fc97218cfdb0704084e2bef4b"},
+      {127, "e0b6a20f1c0c88970a9340152cd5a1c1ecf3d3b8de55102741879438079473540"
+            "133b812706e5dbec322c8c9523b6fc8c6d16ee626e87ad5fe3d2916afedc369"},
+      {128, "99b16f17aa0b969a5b8f08f367719d516e330ccd2660b6f0688ec031dbc783de"
+            "50a1cd185a2568dba75070a2403d17d4741d163578515dfd2ff756ddfe4d47b1"},
+  };
+  for (const auto& [len, want] : boundaries) {
+    const auto d = Sha512::hash(codec::ByteView(msg.data(), len));
+    EXPECT_EQ(hex(codec::ByteView(d.data(), d.size())), want) << len;
   }
 }
 
@@ -428,32 +499,81 @@ TEST(GeKernel, OddMultiplesMatchScalarMul) {
   }
 }
 
-TEST(GeKernel, CombBaseScalarMulMatchesPlain) {
-  sim::Rng rng(83);
+/// Scalars below 2^255 that stress the signed radix-16 recoding: small
+/// digits, the carry boundary, L - 1, L and 2^255 - 1 (every digit at its
+/// extreme), then random ones.
+std::vector<U256> comb_edge_scalars(sim::Rng& rng, int randoms) {
   std::vector<U256> scalars = {U256::zero(), U256::from_u64(1), U256::from_u64(8),
                                U256::from_u64(15), U256::from_u64(16)};
   U256 l_minus_1 = kOrderL;
   l_minus_1.sub_in_place(U256::from_u64(1));
   scalars.push_back(l_minus_1);
   scalars.push_back(kOrderL);
-  U256 top;  // 2^255 - 1: every comb digit at its extreme
+  U256 top;  // 2^255 - 1
   for (auto& w : top.w) w = ~std::uint64_t{0};
   top.w[3] >>= 1;
   scalars.push_back(top);
+  for (int i = 0; i < randoms; ++i) {
+    U256 k = random_scalar(rng);
+    k.w[3] &= 0x7FFFFFFFFFFFFFFFULL;
+    scalars.push_back(k);
+  }
+  return scalars;
+}
+
+TEST(GeKernel, CombBaseScalarMulMatchesPlain) {
+  sim::Rng rng(83);
+  std::vector<U256> scalars = comb_edge_scalars(rng, 20);
   U256 all_ones;  // 2^256 - 1: bit 255 set, the non-comb path
   for (auto& w : all_ones.w) w = ~std::uint64_t{0};
   scalars.push_back(all_ones);
-  for (int i = 0; i < 40; ++i) {
-    U256 k = random_scalar(rng);
-    if (i % 2 == 0) k.w[3] &= 0x7FFFFFFFFFFFFFFFULL;
-    scalars.push_back(k);
-  }
+  for (int i = 0; i < 20; ++i) scalars.push_back(random_scalar(rng));
   for (std::size_t i = 0; i < scalars.size(); ++i) {
     EXPECT_EQ(Ge::base_scalar_mul(scalars[i]).compress(),
               Ge::base().scalar_mul(scalars[i]).compress())
         << i;
   }
   EXPECT_TRUE(Ge::base_scalar_mul(kOrderL).is_identity());
+}
+
+TEST(GeKernel, CombOfAnyPointMatchesScalarMul) {
+  // GeComb::of over points with and without small-order parts (the batch
+  // inversion must not care), single terms and interleaved pairs.
+  sim::Rng rng(97);
+  const auto pts = sample_points(rng);
+  const auto scalars = comb_edge_scalars(rng, 6);
+  std::vector<std::unique_ptr<const GeComb>> combs;
+  for (const Ge& p : pts) combs.push_back(GeComb::of(p));
+  for (std::size_t i = 0; i < pts.size(); ++i) {
+    for (std::size_t j = 0; j < scalars.size(); ++j) {
+      const Ge::CombTerm term{scalars[j], combs[i].get()};
+      EXPECT_EQ(Ge::comb_sum(std::span(&term, 1)).compress(),
+                pts[i].scalar_mul(scalars[j]).compress())
+          << i << "," << j;
+    }
+    const std::size_t q = (i + 1) % pts.size();
+    const U256& a = scalars[(3 * i) % scalars.size()];
+    const U256& b = scalars[(3 * i + 5) % scalars.size()];
+    const std::array<Ge::CombTerm, 2> pair{{{a, combs[i].get()}, {b, combs[q].get()}}};
+    EXPECT_EQ(Ge::comb_sum(pair).compress(),
+              pts[i].scalar_mul(a).add(pts[q].scalar_mul(b)).compress())
+        << i;
+  }
+  // Table layout: rows[r][j] is (j+1) * 256^r * P in affine Niels form.
+  for (const std::size_t i : {std::size_t{1}, std::size_t{3}, pts.size() - 1}) {
+    for (const std::size_t r : {0u, 7u, 16u, 31u}) {
+      for (std::size_t j = 0; j < 8; ++j) {
+        std::array<std::uint8_t, 32> k_le{};
+        k_le[r] = static_cast<std::uint8_t>(j + 1);
+        const GePrecomp want =
+            GePrecomp::from(pts[i].scalar_mul(U256::from_bytes_le(codec::ByteView(k_le))));
+        const GePrecomp& got = combs[i]->rows[r][j];
+        EXPECT_EQ(got.yplusx.to_bytes(), want.yplusx.to_bytes()) << i << "," << r << "," << j;
+        EXPECT_EQ(got.yminusx.to_bytes(), want.yminusx.to_bytes()) << i << "," << r << "," << j;
+        EXPECT_EQ(got.xy2d.to_bytes(), want.xy2d.to_bytes()) << i << "," << r << "," << j;
+      }
+    }
+  }
 }
 
 TEST(GeKernel, TorsionFreeOnlyWithoutSmallOrderPart) {
@@ -576,6 +696,220 @@ TEST(Ed25519, SignVerifyPropertySweep) {
 }
 
 // ----------------------------------------------------------------------- PKI
+
+// ------------------------------------------------------ Ed25519 comb verify
+// Comb verify runs S*B + k*(-A) over two fixed-base combs; the prepared-
+// and raw-key overloads run the Straus chain. Same equation, same R-bytes
+// compare: the verdicts must be identical on every input.
+
+/// The comb of -A for a prepared key.
+std::unique_ptr<const GeComb> comb_of(const Ed25519::VerifyKey& key) {
+  return GeComb::of(Ge::decompress(codec::ByteView(key.bytes.data(), 32))->negate());
+}
+
+/// k = H(R || A || M) mod L.
+U256 challenge_of(codec::ByteView r, const Ed25519::PublicKey& a, codec::ByteView m) {
+  Sha512 h;
+  h.update(r);
+  h.update(codec::ByteView(a.data(), a.size()));
+  h.update(m);
+  const auto d = h.finalize();
+  return mod_512(U512::from_bytes_le(codec::ByteView(d.data(), d.size())), kOrderL);
+}
+
+/// A signature (r_enc, S) with S = r + k*a for k over r_enc: the signer's
+/// equation with a nonce point of the caller's choosing.
+Ed25519::Signature sign_with_nonce(const std::array<std::uint8_t, 32>& r_enc, const U256& r,
+                                   const Ed25519::SigningKey& sk, codec::ByteView m) {
+  const U256 k = challenge_of(codec::ByteView(r_enc.data(), r_enc.size()), sk.pub, m);
+  const auto s = muladd_mod(k, sk.a, r, kOrderL).to_bytes_le<32>();
+  Ed25519::Signature sig;
+  std::copy(r_enc.begin(), r_enc.end(), sig.begin());
+  std::copy(s.begin(), s.end(), sig.begin() + 32);
+  return sig;
+}
+
+/// Comb and Straus verdicts agree; returns the verdict.
+bool same_verdict(const Ed25519::VerifyKey& key, const GeComb& neg_a_comb, codec::ByteView m,
+                  const Ed25519::Signature& sig, const std::string& what) {
+  const bool comb = Ed25519::verify(key.bytes, neg_a_comb, m, sig);
+  EXPECT_EQ(comb, Ed25519::verify(key, m, sig)) << what;
+  EXPECT_EQ(comb, Ed25519::verify(key.bytes, m, sig)) << what;  // raw-key path
+  return comb;
+}
+
+TEST(Ed25519Comb, ValidAndTamperedSignaturesSameVerdict) {
+  sim::Rng rng(4242);
+  for (int signer = 0; signer < 6; ++signer) {
+    Ed25519::Seed seed{};
+    for (auto& b : seed) b = static_cast<std::uint8_t>(rng.next_u64());
+    const auto [sk, vk] = Ed25519::keypair(seed);
+    const auto comb = comb_of(vk);
+    for (int i = 0; i < 4; ++i) {
+      codec::Bytes msg(rng.next_u64() % 150);
+      for (auto& b : msg) b = static_cast<std::uint8_t>(rng.next_u64());
+      const auto sig = Ed25519::sign(sk, msg);
+      const std::string tag = std::to_string(signer) + "/" + std::to_string(i);
+      EXPECT_TRUE(same_verdict(vk, *comb, msg, sig, "valid " + tag));
+
+      codec::Bytes tampered = msg;
+      tampered.push_back(0x5A);
+      EXPECT_FALSE(same_verdict(vk, *comb, tampered, sig, "message " + tag));
+      for (std::size_t byte = static_cast<std::size_t>(i); byte < sig.size(); byte += 9) {
+        auto bad = sig;
+        bad[byte] ^= static_cast<std::uint8_t>(1u << (byte % 8));
+        EXPECT_FALSE(same_verdict(vk, *comb, msg, bad, "byte " + std::to_string(byte) + " " + tag));
+      }
+
+      // Non-canonical S: S + L encodes the same residue, and S | 0xF0 in
+      // the top byte is far above L. Both are refused before any curve work.
+      U256 s_plus_l = U256::from_bytes_le(codec::ByteView(sig.data() + 32, 32));
+      s_plus_l.add_in_place(kOrderL);
+      auto non_canonical = sig;
+      const auto s_bytes = s_plus_l.to_bytes_le<32>();
+      std::copy(s_bytes.begin(), s_bytes.end(), non_canonical.begin() + 32);
+      EXPECT_FALSE(same_verdict(vk, *comb, msg, non_canonical, "S + L " + tag));
+      auto top = sig;
+      top[63] |= 0xF0;
+      EXPECT_FALSE(same_verdict(vk, *comb, msg, top, "S top bits " + tag));
+    }
+  }
+}
+
+TEST(Ed25519Comb, NonCanonicalAndOffCurveRSameVerdict) {
+  Ed25519::Seed seed{};
+  seed.fill(0x33);
+  const auto [sk, vk] = Ed25519::keypair(seed);
+  const auto comb = comb_of(vk);
+  const auto msg = codec::to_bytes("identity nonce");
+  // r = 0: R is the identity, encoded canonically as y = 1 and
+  // non-canonically as y = 1 + p; y = p is a non-canonical 4-torsion point.
+  std::array<std::uint8_t, 32> y1{};
+  y1[0] = 0x01;
+  std::array<std::uint8_t, 32> y1_plus_p;
+  y1_plus_p.fill(0xFF);
+  y1_plus_p[0] = 0xEE;
+  y1_plus_p[31] = 0x7F;
+  std::array<std::uint8_t, 32> y_p;
+  y_p.fill(0xFF);
+  y_p[0] = 0xED;
+  y_p[31] = 0x7F;
+  EXPECT_TRUE(same_verdict(vk, *comb, msg, sign_with_nonce(y1, U256::zero(), sk, msg), "y = 1"));
+  EXPECT_FALSE(same_verdict(vk, *comb, msg, sign_with_nonce(y1_plus_p, U256::zero(), sk, msg),
+                            "y = 1 + p"));
+  EXPECT_FALSE(same_verdict(vk, *comb, msg, sign_with_nonce(y_p, U256::zero(), sk, msg), "y = p"));
+
+  // Off-curve R: encodings that do not decompress, with assorted S.
+  sim::Rng rng(77);
+  int off_curve = 0;
+  for (std::uint8_t y = 2; off_curve < 8; ++y) {
+    std::array<std::uint8_t, 32> r_enc{};
+    r_enc[0] = y;
+    if (Ge::decompress(codec::ByteView(r_enc.data(), r_enc.size()))) continue;
+    ++off_curve;
+    U256 r = random_scalar(rng);
+    r.w[3] &= 0x0FFFFFFFFFFFFFFFULL;
+    EXPECT_FALSE(same_verdict(vk, *comb, msg, sign_with_nonce(r_enc, r, sk, msg),
+                              "off-curve y = " + std::to_string(y)));
+  }
+}
+
+TEST(Ed25519Comb, SmallOrderKeysAndTorsionInRSameVerdict) {
+  sim::Rng rng(5151);
+  const auto pts = sample_points(rng);  // [2]: order 2, [3]: order 4
+  std::array<std::uint8_t, 32> order8_enc{};
+  const auto order8_bytes = codec::from_hex(
+      "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05");
+  std::copy(order8_bytes->begin(), order8_bytes->end(), order8_enc.begin());
+  const Ge order8 = *Ge::decompress(codec::ByteView(order8_enc.data(), order8_enc.size()));
+  const std::vector<Ge> torsion = {pts[2], pts[3], order8};
+
+  // Small-order keys (orders 2, 4, 8) with R = S*B: verify accepts exactly
+  // when k*A is the identity, so both verdicts occur.
+  int accepted = 0, rejected = 0;
+  for (std::size_t t = 0; t < torsion.size(); ++t) {
+    const auto key = Ed25519::prepare(torsion[t].compress());
+    ASSERT_TRUE(key.has_value()) << t;
+    ASSERT_FALSE(key->torsion_free) << t;
+    const auto comb = comb_of(*key);
+    for (int j = 0; j < 12; ++j) {
+      const auto msg = codec::to_bytes("small " + std::to_string(t) + "/" + std::to_string(j));
+      U256 sc = U256::from_u64(rng.next_u64());
+      sc.w[1] = rng.next_u64();
+      Ed25519::Signature sig;
+      const auto r_enc = Ge::base_scalar_mul(sc).compress();
+      const auto s_enc = sc.to_bytes_le<32>();
+      std::copy(r_enc.begin(), r_enc.end(), sig.begin());
+      std::copy(s_enc.begin(), s_enc.end(), sig.begin() + 32);
+      (same_verdict(*key, *comb, msg, sig, "small-order key " + std::to_string(t)) ? accepted
+                                                                             : rejected) += 1;
+    }
+  }
+  EXPECT_GT(accepted, 3);
+  EXPECT_GT(rejected, 3);
+
+  // R + T for a torsion point T: cofactorless verify rejects it on both
+  // paths, for a prime-order key and for a key with its own torsion part.
+  Ed25519::Seed seed{};
+  seed.fill(0x44);
+  const auto [sk, vk] = Ed25519::keypair(seed);
+  const auto comb = comb_of(vk);
+  for (std::size_t t = 0; t < torsion.size(); ++t) {
+    U256 r = random_scalar(rng);
+    r.w[3] &= 0x0FFFFFFFFFFFFFFFULL;
+    const auto msg = codec::to_bytes("torsion nonce " + std::to_string(t));
+    const auto r_enc = Ge::base_scalar_mul(r).add(torsion[t]).compress();
+    EXPECT_FALSE(same_verdict(vk, *comb, msg, sign_with_nonce(r_enc, r, sk, msg),
+                              "R + T " + std::to_string(t)));
+    EXPECT_TRUE(same_verdict(vk, *comb, msg,
+                             sign_with_nonce(Ge::base_scalar_mul(r).compress(), r, sk, msg),
+                             "R " + std::to_string(t)));
+  }
+}
+
+TEST(Ed25519Comb, FirstUseRaceOnOneKey) {
+  // Eight threads make the first scalar verify against one fresh key at
+  // once, half through each of two Pkis over one seed (which share the
+  // key's comb): the comb is built once and published safely (TSan covers
+  // this suite), and every verdict is right.
+  Pki pki(2718);
+  Pki twin(2718);
+  pki.register_process(5);
+  twin.register_process(5);
+  const auto msg = codec::to_bytes("first use");
+  const auto sig = pki.sign(5, msg);
+  auto bad = sig;
+  bad[40] ^= 0x01;
+  constexpr int kThreads = 8;
+  std::latch start(kThreads);
+  std::atomic<int> accepted{0};
+  std::atomic<int> rejected{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    const Pki* p = t % 2 == 0 ? &pki : &twin;
+    threads.emplace_back([&, p] {
+      start.arrive_and_wait();
+      for (int i = 0; i < 3; ++i) {
+        if (p->verify(5, msg, sig)) accepted.fetch_add(1);
+        if (!p->verify(5, msg, bad)) rejected.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(accepted.load(), 3 * kThreads);
+  EXPECT_EQ(rejected.load(), 3 * kThreads);
+
+  // A shared comb outlives the Pki that built it.
+  auto first = std::make_unique<Pki>(2719);
+  first->register_process(6);
+  Pki second(2719);
+  second.register_process(6);
+  const auto sig6 = second.sign(6, msg);
+  EXPECT_TRUE(first->verify(6, msg, sig6));
+  first.reset();
+  EXPECT_TRUE(second.verify(6, msg, sig6));
+  EXPECT_FALSE(second.verify(6, msg, bad));
+}
 
 TEST(Pki, DeterministicKeysPerSeed) {
   Pki a(42), b(42), c(43);

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "api/quorum_client.hpp"
+#include "core/proofs.hpp"
 #include "net/loopback.hpp"
 #include "net/remote_node.hpp"
 #include "net_fixture.hpp"
@@ -179,6 +180,12 @@ TEST_P(ConsensusClusterConformance, MatchesSimReferenceWithoutSequencer) {
   std::uint64_t sealed = 0;
   for (const auto& h : cl.hosts) sealed += h->ledger().blocks_broadcast();
   EXPECT_GT(sealed, 0u);
+
+  // Nodes applied the elements their adds verified without verifying them
+  // again, and the verdicts above still match the reference.
+  std::uint64_t skipped = 0;
+  for (const auto& h : cl.hosts) skipped += h->server().apply_verify_skipped();
+  EXPECT_GT(skipped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, ConsensusClusterConformance,
@@ -386,6 +393,79 @@ TEST(ConsensusByzantine, EquivocatingNodeIsMaskedAndSurvivorsStayConformant) {
   for (const auto id : accepted) {
     EXPECT_TRUE(view.contains(id)) << "quorum view missing " << id;
   }
+}
+
+// A node does not verify again the exact element bytes its add verified;
+// everything else it verifies. Ahead of every client add, a doctored
+// element tx is gossiped to all nodes: the same element id with one payload
+// byte flipped, so the client signature no longer matches. The copies sit
+// in the mempools ahead of the genuine elements and are committed first,
+// while every node holds the genuine bytes from its own add. Every node
+// must still reject the copy and keep the genuine element: P1-P9 and the
+// reference set hold, and the skip really ran.
+TEST(ConsensusByzantine, DoctoredCopiesOfAddedElementsAreStillVerified) {
+  ConsensusCluster cl(runner::Algorithm::kVanilla);
+  cl.start();
+  const auto elements = make_workload(cl.cfg, 40, cl.pki);
+  std::vector<std::unique_ptr<RemoteNode>> stubs;
+  api::QuorumClient client = cl.client(stubs);
+  std::vector<core::ElementId> accepted;
+  for (const auto& e : elements) {
+    core::Element doctored = e;
+    doctored.payload.back() ^= 0x01;
+    codec::Writer w;
+    core::serialize_element(w, doctored);
+    ledger::Transaction tx;
+    tx.kind = ledger::TxKind::kElement;
+    tx.data = w.take();
+    tx.wire_size = static_cast<std::uint32_t>(tx.data.size());
+    const codec::Bytes submit = wire::encode_tx_submit(tx);
+    for (std::uint32_t to = 0; to < cl.cfg.n; ++to) {
+      cl.hub.transport(to == 1 ? 0 : 1).send(to, wire::MsgType::kTxSubmit, submit);
+    }
+    cl.sim.run_until(cl.sim.now() + sim::from_millis(1));  // copies reach the mempools
+    const auto r = client.add(e);
+    EXPECT_TRUE(r.ok) << "add refused everywhere, element " << e.id;
+    if (r.ok) accepted.push_back(e.id);
+  }
+  ASSERT_EQ(accepted.size(), elements.size());
+  ASSERT_TRUE(cl.pump_until([&] { return cl.consolidated(accepted.size()); }));
+  ASSERT_TRUE(cl.pump_until([&] { return cl.liveness_green(accepted); }));
+
+  // The doctored copies reached the chain: more element txs committed than
+  // there are elements.
+  const ledger::TxTable& committed = cl.hosts[0]->ledger().txs();
+  std::size_t element_txs = 0;
+  for (auto idx = committed.base(); idx < committed.size(); ++idx) {
+    element_txs += committed.get(idx).kind == ledger::TxKind::kElement ? 1 : 0;
+  }
+  EXPECT_GT(element_txs, elements.size()) << "no doctored copy was ever committed";
+
+  std::uint64_t skipped = 0;
+  for (const auto& h : cl.hosts) skipped += h->server().apply_verify_skipped();
+  EXPECT_GT(skipped, 0u) << "no node applied its added elements without re-verifying";
+
+  // Every epoch holds the genuine bytes: its hash, recomputed from the
+  // client's elements, matches. (Taking the copies in their place would
+  // still agree across nodes and on ids; only the content shows it.)
+  std::unordered_map<core::ElementId, const core::Element*> genuine;
+  for (const auto& e : elements) genuine[e.id] = &e;
+  for (const auto& h : cl.hosts) {
+    for (const auto& rec : *h->server().get().history) {
+      std::vector<std::pair<core::ElementId, std::uint64_t>> id_digests;
+      for (const auto id : rec.ids) {
+        ASSERT_TRUE(genuine.contains(id)) << id;
+        id_digests.emplace_back(id, core::element_digest(*genuine[id], core::Fidelity::kFull));
+      }
+      EXPECT_EQ(rec.hash, core::epoch_hash(rec.number, id_digests, core::Fidelity::kFull))
+          << "node " << h->server().id() << " epoch " << rec.number;
+    }
+  }
+
+  const ReferenceRun reference = run_reference(cl.cfg, elements);
+  std::unordered_set<core::ElementId> created(accepted.begin(), accepted.end());
+  assert_cluster_matches_reference(cl.servers(), accepted, created, cl.hosts[0]->params(),
+                                   cl.hosts[0]->pki(), reference, "vanilla/doctored-copies");
 }
 
 // Vote-equivocation bookkeeping, driven by hand-signed frames (the shared

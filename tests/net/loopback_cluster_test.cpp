@@ -162,6 +162,12 @@ TEST_P(LoopbackClusterConformance, WireClusterMatchesSimReference) {
     frames += cl.hub.transport(i).counters().frames_received;
   }
   EXPECT_GT(frames, 0u);
+
+  // Sequencer mode too: elements an add verified are not verified again
+  // at apply.
+  std::uint64_t skipped = 0;
+  for (const auto& h : cl.hosts) skipped += h->server().apply_verify_skipped();
+  EXPECT_GT(skipped, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, LoopbackClusterConformance,
@@ -239,7 +245,10 @@ TEST(LoopbackClusterFaults, PartitionedReplicaRejoins) {
 /// A server-state body (docs/STORAGE_FORMAT.md §server-state, version 1)
 /// holding `epochs` consolidated epochs of `ids_per_epoch` dense ids each,
 /// no proofs, applied height 0 — a long history without running it.
-codec::Bytes long_history_state(std::uint64_t epochs, std::uint64_t ids_per_epoch) {
+/// `proofs_per_epoch` unsigned proofs (servers 0, 1, ...) per epoch: restore
+/// does not re-verify stored proofs, and a reader only counts them.
+codec::Bytes long_history_state(std::uint64_t epochs, std::uint64_t ids_per_epoch,
+                                std::uint32_t proofs_per_epoch = 0) {
   codec::Writer w;
   w.u8(1).varint(epochs).varint(0).varint(epochs);
   for (std::uint64_t e = 1; e <= epochs; ++e) {
@@ -250,7 +259,15 @@ codec::Bytes long_history_state(std::uint64_t epochs, std::uint64_t ids_per_epoc
     w.varint(ids_per_epoch).varint((e - 1) * ids_per_epoch + 1);
     for (std::uint64_t k = 1; k < ids_per_epoch; ++k) w.varint(1);
   }
-  for (std::uint64_t e = 0; e < epochs; ++e) w.varint(0);  // proof buckets
+  for (std::uint64_t e = 1; e <= epochs; ++e) {  // proof buckets
+    w.varint(proofs_per_epoch);
+    for (crypto::ProcessId s = 0; s < proofs_per_epoch; ++s) {
+      core::EpochProof p;
+      p.epoch = e;
+      p.server = s;
+      core::serialize_epoch_proof(w, p);
+    }
+  }
   w.varint(0);                                             // parked proofs
   return w.take();
 }
@@ -287,6 +304,33 @@ TEST(LoopbackReadPath, GetAdoptsAHistoryLargerThanOneResponse) {
   EXPECT_EQ(client.get().epoch, kEpochs);
   EXPECT_EQ(cl.hosts[0]->rpcs_served(), served + 1);
   EXPECT_EQ(client.get().masked_nodes, 0u);
+}
+
+// A light client that walks a long history one epoch-proof read at a time
+// must not accumulate the proofs it has read: the stub keeps only the last
+// answer (its reference is valid until the next call).
+TEST(LoopbackReadPath, ProofReadsOverALongHistoryKeepO1Proofs) {
+  constexpr std::uint64_t kEpochs = 10'000;
+  constexpr std::uint32_t kProofsPerEpoch = 3;
+  LoopbackCluster cl(runner::Algorithm::kCompresschain);
+  cl.start();
+  const codec::Bytes state = long_history_state(kEpochs, 1, kProofsPerEpoch);
+  codec::Reader r(state);
+  ASSERT_TRUE(cl.hosts[0]->server().restore_state(r));
+
+  RemoteNode stub(std::make_unique<LoopbackRpcChannel>(cl.hub, 0), 0);
+  std::uint64_t seen = 0;
+  for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+    const auto& proofs = stub.proofs_for_epoch(e);
+    ASSERT_EQ(proofs.size(), kProofsPerEpoch) << e;
+    EXPECT_EQ(proofs.front().epoch, e);
+    seen += proofs.size();
+    EXPECT_LE(stub.cached_proofs(), kProofsPerEpoch) << e;
+  }
+  EXPECT_EQ(seen, kEpochs * kProofsPerEpoch);
+  EXPECT_EQ(stub.cached_proofs(), kProofsPerEpoch);
+  EXPECT_TRUE(stub.proofs_for_epoch(kEpochs + 1).empty());
+  EXPECT_EQ(stub.rpc_failures(), 0u);
 }
 
 TEST(LoopbackClusterRobustness, MalformedPayloadsAreCountedAndIgnored) {

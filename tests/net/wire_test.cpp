@@ -272,13 +272,13 @@ TEST(WirePayloads, SnapshotRejectsBadRangesDuplicateIdsAndWraparound) {
 // increasing), and re-encoding it yields a message that parses to the same
 // value.
 TEST(WirePayloads, SnapshotParsersHoldInvariantsOnEveryInput) {
+  // Varints parse only in their minimal form, so an accepted message has
+  // exactly one encoding: re-encoding it gives back the input bytes.
   const auto check = [](ByteView v) {
     if (const auto q = parse_snapshot_request(v)) {
       EXPECT_GE(q->from_epoch, 1u);
-      const auto again = parse_snapshot_request(encode_snapshot_request(*q));
-      ASSERT_TRUE(again.has_value());
-      EXPECT_EQ(again->req_id, q->req_id);
-      EXPECT_EQ(again->from_epoch, q->from_epoch);
+      const Bytes again = encode_snapshot_request(*q);
+      EXPECT_TRUE(std::equal(again.begin(), again.end(), v.begin(), v.end()));
     }
     if (const auto p = parse_snapshot_response(v)) {
       ASSERT_GE(p->from_epoch, 1u);
@@ -292,9 +292,8 @@ TEST(WirePayloads, SnapshotParsersHoldInvariantsOnEveryInput) {
         EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end(), std::greater_equal<>()),
                   ids.end());
       }
-      const auto again = parse_snapshot_response(encode_snapshot_response(*p));
-      ASSERT_TRUE(again.has_value());
-      expect_same_snapshot(*again, *p);
+      const Bytes again = encode_snapshot_response(*p);
+      EXPECT_TRUE(std::equal(again.begin(), again.end(), v.begin(), v.end()));
     }
   };
 
